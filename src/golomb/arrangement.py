@@ -100,17 +100,21 @@ def iop_vertices(m: int) -> tuple[Point, ...]:
     return tuple(sorted(points))
 
 
+def _denominator_lcm(points) -> int:
+    return lcm(*(c.denominator for point in points for c in point))
+
+
 def period_bound(m: int) -> int:
     """lcm of the coordinate denominators over all subdivision vertices."""
-    denominators = [c.denominator for point in iop_vertices(m) for c in point]
-    return lcm(*denominators) if denominators else 1
+    return _denominator_lcm(iop_vertices(m))
 
 
 def vertices_json_dict(m: int) -> dict:
+    points = iop_vertices(m)
     return {
         "m": m,
-        "period_bound": period_bound(m),
-        "vertices": [[format_fraction(c) for c in point] for point in iop_vertices(m)],
+        "period_bound": _denominator_lcm(points),
+        "vertices": [[format_fraction(c) for c in point] for point in points],
     }
 
 

@@ -182,12 +182,14 @@ def _cmd_golomb_count(args, cfg: RunConfig) -> int:
 
 def _cmd_quasipoly(args, cfg: RunConfig) -> int:
     _no_csv(cfg)
-    q = golomb_quasipolynomial(args.m, period_hint=args.period, budget=cfg.budget)
+    bound = period_bound(args.m)
+    period = bound if args.period is None else args.period
+    q = golomb_quasipolynomial(args.m, period_hint=period, budget=cfg.budget)
     leading = q.constituents[0][-1]  # identical across residues, already verified
     payload = {
         "m": args.m,
         "degree": q.degree,
-        "period_bound": period_bound(args.m),
+        "period_bound": bound,
         "minimal_period": q.minimal_period(),
         "leading_coefficient": format_fraction(leading),
         "value_at_zero": format_fraction(q.evaluate(0)),

@@ -25,7 +25,8 @@ complete, so every surviving order is then decided exactly: a fraction-free
 simplex either produces a rational gap vector realizing the order (checked
 against every inequality) or a Farkas certificate that none exists (also
 checked). Without the propagation m = 6 (20 vertices, 107498 admissible
-orders) is out of reach; with it the census runs in minutes.
+orders) is out of reach; with it the m = 6 census takes well under a minute
+in one process.
 """
 
 from __future__ import annotations
@@ -196,14 +197,17 @@ def _tables(m: int) -> _Tables:
     )
 
 
-def _enumerate_orders(m: int, limit: int, prefix: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _enumerate_orders(
+    m: int, limit: int, prefix: tuple[int, ...]
+) -> tuple[list[tuple[int, ...]], int]:
     """Depth-first enumeration of admissible total orders as tuples of vertex
     indices, starting from a fixed placement prefix (empty for the full
-    search). Deterministic: candidates are tried in index order."""
+    search), together with the number of search nodes it visited.
+    Deterministic: candidates are tried in index order."""
     tables = _tables(m)
     n = tables.n
     if n == 0:
-        return [()]
+        return [()], 0
     pair_info = tables.pair_info
     class_edges = tables.class_edges
     sum_rules = tables.sum_rules
@@ -289,7 +293,7 @@ def _enumerate_orders(m: int, limit: int, prefix: tuple[int, ...]) -> list[tuple
 
     for v in prefix:
         if try_place(v) is None:
-            return []
+            return [], 0
 
     def rec() -> None:
         nonlocal nodes
@@ -311,7 +315,7 @@ def _enumerate_orders(m: int, limit: int, prefix: tuple[int, ...]) -> list[tuple
             unplace(v, record)
 
     rec()
-    return out
+    return out, nodes
 
 
 def _chain_rows(order: tuple[Interval, ...], m: int) -> list[tuple[int, ...]]:
@@ -337,14 +341,14 @@ def _realizable(order: tuple[Interval, ...], m: int) -> bool:
     return bool(strict_cone_feasibility(_chain_rows(order, m)))
 
 
-def _orders_worker(args) -> list[tuple[int, ...]]:
+def _orders_worker(args) -> tuple[list[tuple[int, ...]], int]:
+    """Realizable orders below one placement prefix, and the search nodes used."""
     m, limit, prefix = args
     tables = _tables(m)
+    orders, nodes = _enumerate_orders(m, limit, prefix)
     return [
-        o
-        for o in _enumerate_orders(m, limit, prefix)
-        if _realizable(tuple(tables.intervals[v] for v in o), m)
-    ]
+        o for o in orders if _realizable(tuple(tables.intervals[v] for v in o), m)
+    ], nodes
 
 
 def enumerate_constrained_orientations(
@@ -364,27 +368,39 @@ def enumerate_constrained_orientations(
     budget then applies per partition). The bound guards against m for which
     the census would be astronomically large.
     """
+    return _census(m, resolve_budget(budget), jobs, bound)[0]
+
+
+def _census(
+    m: int, limit: int, jobs: int = 1, bound: int = DEFAULT_M_BOUND
+) -> tuple[tuple[GolombOrientation, ...], int]:
+    """enumerate_constrained_orientations, plus the most search nodes any one
+    search used: the whole search when serial, the largest partition with
+    jobs > 1. A budget below that number makes the same census raise."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > bound:
         raise ValueError(f"m={m} is above the enumeration bound {bound}; raise bound= to override")
-    limit = resolve_budget(budget)
     tables = _tables(m)
     if tables.n == 0:
-        return (GolombOrientation(m, ()),)
+        return (GolombOrientation(m, ()),), 0
     if jobs > 1:
         tasks = [(m, limit, (v,)) for v in range(tables.n)]
         with multiprocessing.get_context("fork").Pool(jobs) as pool:
             chunks = pool.map(_orders_worker, tasks)
-        orders = [o for chunk in chunks for o in chunk]
+        orders = [o for chunk, _ in chunks for o in chunk]
+        nodes = max(used for _, used in chunks)
     else:
-        orders = _orders_worker((m, limit, ()))
+        orders, nodes = _orders_worker((m, limit, ()))
     return tuple(
         GolombOrientation(m, tuple(tables.intervals[v] for v in o)) for o in orders
-    )
+    ), nodes
 
 
-_REGION_CACHE: dict[int, tuple[tuple[GolombOrientation, ...], tuple[tuple[int, ...], ...]]] = {}
+# m -> (orientations, their sign rows, search nodes the census used)
+_REGION_CACHE: dict[
+    int, tuple[tuple[GolombOrientation, ...], tuple[tuple[int, ...], ...], int]
+] = {}
 
 
 def _region_data(
@@ -392,23 +408,27 @@ def _region_data(
 ) -> tuple[tuple[GolombOrientation, ...], tuple[tuple[int, ...], ...]]:
     """Orientations and their hyperplane sign rows (aligned with
     golomb_hyperplanes(m), -1 when the positive block comes first), computed
-    once per m. An explicit budget is honored on the first computation."""
+    once per m by a serial census. Every call honors its budget: one below
+    the nodes that census used raises, as a fresh census would."""
+    limit = resolve_budget(budget)
     cached = _REGION_CACHE.get(m)
-    if cached is not None:
-        return cached
-    tables = _tables(m)
-    orientations = enumerate_constrained_orientations(m, budget=budget)
-    rows = []
-    for o in orientations:
-        pos = {iv: i for i, iv in enumerate(o.order)}
-        rows.append(
-            tuple(
-                -1 if pos[left] < pos[right] else 1
-                for left, right in tables.hyper_sides
+    if cached is None:
+        tables = _tables(m)
+        orientations, nodes = _census(m, limit)
+        rows = []
+        for o in orientations:
+            pos = {iv: i for i, iv in enumerate(o.order)}
+            rows.append(
+                tuple(
+                    -1 if pos[left] < pos[right] else 1
+                    for left, right in tables.hyper_sides
+                )
             )
-        )
-    _REGION_CACHE[m] = (orientations, tuple(rows))
-    return _REGION_CACHE[m]
+        cached = _REGION_CACHE[m] = (orientations, tuple(rows), nodes)
+    orientations, rows, nodes = cached
+    if nodes > limit:
+        raise BudgetExceededError(limit, "admissible orientation search")
+    return orientations, rows
 
 
 def region_sign_vector(orientation: GolombOrientation) -> dict[tuple[int, ...], int]:

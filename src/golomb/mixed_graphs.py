@@ -239,13 +239,19 @@ def reciprocity_check_mixed(g: MixedGraph, t: int, *, budget: int | None = None)
     The color values 0..t-1 are the t-coloring convention of the identity;
     shifting all colors leaves compatibility unchanged. Maps that already
     violate an arc weakly have no compatible orientation and are summed with
-    multiplicity 0 rather than excluded.
+    multiplicity 0 rather than excluded. The budget caps t**n times the
+    number of acyclic orientations, checked before the sum starts.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
     chi = chromatic_polynomial(g, budget=budget)
     lhs = (-1) ** g.n * poly_eval(chi, -t)
     orientations = enumerate_acyclic_orientations(g, budget=budget)
+    limit = resolve_budget(budget)
+    if t**g.n * len(orientations) > limit:
+        raise BudgetExceededError(
+            limit, f"{t}^{g.n} maps times {len(orientations)} acyclic orientations"
+        )
     arc_sets = [g.arcs + o for o in orientations]
     rhs = 0
     for c in product(range(t), repeat=g.n):

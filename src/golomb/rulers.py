@@ -12,7 +12,8 @@ the test suite.
 The enumerator is deliberately a brute-force oracle: a depth-first search
 over gaps that carries the set of marking differences used so far in a
 bitmask and prunes as soon as a difference repeats or the remaining length
-cannot be filled with positive gaps.
+cannot be filled with positive gaps. Counting runs the same search and
+only tallies the rulers it reaches, so no list is built.
 """
 
 from __future__ import annotations
@@ -112,32 +113,31 @@ def enumerate_golomb_rulers(m: int, t: int, *, budget: int | None = None, jobs: 
         raise ValueError("m must be >= 1")
     if t < 1:
         raise ValueError("t must be >= 1")
-    node_budget = resolve_budget(budget)
+    return _run_search(m, t, resolve_budget(budget), jobs, True)
+
+
+def _run_search(m: int, t: int, node_budget: int, jobs: int, collect: bool):
+    """The ruler list when collecting, else just its length; jobs > 1 splits
+    the search on the first gap and joins the parts in first-gap order."""
     if jobs > 1 and m >= 2 and t - m + 1 >= 2:
-        tasks = [(m, t, node_budget, first) for first in range(1, t - m + 2)]
+        tasks = [(m, t, node_budget, first, collect) for first in range(1, t - m + 2)]
         with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            chunks = pool.map(_search_first_gap, tasks)
-        return [ruler for chunk in chunks for ruler in chunk]
-    return _search(m, t, node_budget, None)
+            chunks = pool.starmap(_search, tasks)
+        return [ruler for chunk in chunks for ruler in chunk] if collect else sum(chunks)
+    return _search(m, t, node_budget, None, collect)
 
 
-def _search_first_gap(args) -> list[Gaps]:
-    m, t, node_budget, first = args
-    return _search(m, t, node_budget, first)
-
-
-def _search(m: int, t: int, node_budget: int, first_gap: int | None) -> list[Gaps]:
+def _search(m: int, t: int, node_budget: int, first_gap: int | None, collect: bool):
+    """One depth-first search: the rulers found in lexicographic order when
+    collect is true, otherwise only their number."""
     out: list[Gaps] = []
-    gaps: list[int] = []
+    found = 0
     marks = [0]
     nodes = 0
 
     def rec(seen: int) -> None:
-        nonlocal nodes
-        k = len(gaps)
-        if k == m:
-            out.append(tuple(gaps))
-            return
+        nonlocal nodes, found
+        k = len(marks) - 1
         x = marks[-1]
         if k == m - 1:
             lo = hi = t - x
@@ -163,14 +163,17 @@ def _search(m: int, t: int, node_budget: int, first_gap: int | None) -> list[Gap
                 new |= bit
             if not ok:
                 continue
-            gaps.append(g)
             marks.append(y)
-            rec(seen | new)
+            if k + 1 < m:
+                rec(seen | new)
+            elif collect:
+                out.append(tuple(b - a for a, b in zip(marks, marks[1:])))
+            else:
+                found += 1
             marks.pop()
-            gaps.pop()
 
     rec(0)
-    return out
+    return out if collect else found
 
 
 def count_golomb_rulers(m: int, t: int, *, budget: int | None = None, jobs: int = 1) -> int:
@@ -186,7 +189,7 @@ def count_golomb_rulers(m: int, t: int, *, budget: int | None = None, jobs: int 
         raise ValueError("t must be >= 0")
     if t == 0:
         return 0
-    return len(enumerate_golomb_rulers(m, t, budget=budget, jobs=jobs))
+    return _run_search(m, t, resolve_budget(budget), jobs, False)
 
 
 def optimal_length(m: int, *, ceiling: int | None = None, budget: int | None = None) -> int:

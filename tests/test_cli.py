@@ -112,6 +112,31 @@ def test_reciprocity_mixed_fixture(capsys):
     assert payload["lhs"] == "30" and payload["rhs"] == 30 and payload["ok"] is True
 
 
+def test_reciprocity_mixed_over_budget_fails_fast(capsys):
+    code, out, err = run_cli(
+        capsys, "reciprocity", "mixed", "--fixture", "triangle", "--t", "150", "--budget", "1000"
+    )
+    assert code == 2
+    assert out == "" and "budget" in err
+
+
+@pytest.mark.parametrize("command", ["quasipoly", "vertices"])
+def test_vertices_are_enumerated_once_per_command(capsys, monkeypatch, command):
+    from golomb import arrangement
+
+    calls = []
+    original = arrangement.iop_vertices
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(arrangement, "iop_vertices", counted)
+    code, out, _ = run_cli(capsys, command, "--m", "3", "--format", "json")
+    assert code == 0 and json.loads(out)["period_bound"] == 12
+    assert calls == [3]
+
+
 def test_reciprocity_mixed_input_file(tmp_path, capsys):
     path = tmp_path / "triangle.json"
     path.write_text(json.dumps({"n": 3, "edges": [[1, 3], [2, 3]], "arcs": [[1, 2]]}))

@@ -152,11 +152,47 @@ def test_parallel_enumeration_matches_serial():
     assert enumerate_constrained_orientations(4, jobs=3) == serial
 
 
+def test_m5_survivors_are_decided_with_certificates():
+    from golomb.golomb_graph import _chain_rows, _enumerate_orders, _tables
+
+    intervals = _tables(5).intervals
+    orders, _ = _enumerate_orders(5, 10**9, ())
+    infeasible = 0
+    for o in orders:
+        rows = _chain_rows(tuple(intervals[v] for v in o), 5)
+        result = strict_cone_feasibility(rows)
+        if result.feasible:
+            assert all(sum(c * x for c, x in zip(r, result.witness)) >= 1 for r in rows)
+        else:
+            infeasible += 1
+            y = result.certificate
+            assert min(y) >= 0 and sum(y) == 1
+            assert all(sum(v * c for v, c in zip(y, col)) == 0 for col in zip(*rows))
+    assert (len(orders), infeasible) == (2612, 4)
+
+
 def test_enumeration_bound_and_budget():
     with pytest.raises(ValueError):
         enumerate_constrained_orientations(7)
     with pytest.raises(BudgetExceededError):
         enumerate_constrained_orientations(4, budget=50)
+
+
+def test_cached_census_honors_a_later_budget():
+    from golomb.golomb_graph import _census
+
+    assert multiplicity((1, 2, 3, 5)) == 4  # the m=4 census is now cached
+    with pytest.raises(BudgetExceededError):
+        multiplicity((1, 2, 3, 5), budget=10)
+    _, nodes = _census(4, 10**9)
+    assert multiplicity((1, 2, 3, 5), budget=nodes) == 4
+    assert len(enumerate_constrained_orientations(4, budget=nodes)) == 114
+    for call in (
+        lambda: multiplicity((1, 2, 3, 5), budget=nodes - 1),
+        lambda: enumerate_constrained_orientations(4, budget=nodes - 1),
+    ):
+        with pytest.raises(BudgetExceededError):
+            call()
 
 
 def multiplicity_by_definition(z, orientations):

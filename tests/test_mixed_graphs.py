@@ -261,3 +261,12 @@ def test_edgeless_reciprocity_closed_form(t, seed):
     report = reciprocity_check_mixed(g, t)
     assert report.ok
     assert report.rhs == t**n
+
+
+def test_reciprocity_budget_is_checked_before_the_sum():
+    k = len(enumerate_acyclic_orientations(TRIANGLE))
+    assert reciprocity_check_mixed(TRIANGLE, 3, budget=3**3 * k).ok
+    with pytest.raises(BudgetExceededError):
+        reciprocity_check_mixed(TRIANGLE, 3, budget=3**3 * k - 1)
+    with pytest.raises(BudgetExceededError):
+        reciprocity_check_mixed(TRIANGLE, 150, budget=1000)

@@ -138,6 +138,15 @@ def test_budget_exhaustion():
         enumerate_golomb_rulers(4, 30, budget=10)
 
 
+def test_count_matches_enumeration_serial_and_parallel():
+    for m, t in [(1, 4), (2, 9), (3, 18), (4, 20), (5, 30)]:
+        count = count_golomb_rulers(m, t)
+        assert count == len(enumerate_golomb_rulers(m, t))
+        assert count_golomb_rulers(m, t, jobs=2) == count
+    with pytest.raises(BudgetExceededError):
+        count_golomb_rulers(4, 30, budget=10)
+
+
 def test_parallel_enumeration_matches_serial():
     serial = enumerate_golomb_rulers(4, 20)
     assert enumerate_golomb_rulers(4, 20, jobs=2) == serial
