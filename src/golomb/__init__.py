@@ -2,7 +2,7 @@
 coloring/orientation machinery for general mixed graphs."""
 
 from golomb.arrangement import golomb_hyperplanes, iop_vertices, period_bound
-from golomb.config import DEFAULT_NODE_BUDGET, RunConfig
+from golomb.config import DEFAULT_NODE_BUDGET
 from golomb.errors import (
     BudgetExceededError,
     CeilingExceededError,
@@ -14,7 +14,6 @@ from golomb.errors import (
 from golomb.golomb_graph import (
     GolombOrientation,
     build_golomb_graph,
-    check_realizability,
     complement_orientation,
     consecutive_subsets,
     enumerate_constrained_orientations,
@@ -27,7 +26,6 @@ from golomb.mixed_graphs import (
     chromatic_polynomial,
     compatible_orientation_count,
     count_proper_colorings,
-    count_strict_order_cells,
     enumerate_acyclic_orientations,
     is_acyclic_mixed,
     reciprocity_check_mixed,
@@ -45,7 +43,6 @@ from golomb.rulers import (
     enumerate_golomb_rulers,
     gaps_from_markings,
     is_golomb,
-    is_golomb_by_interval_sums,
     markings,
     optimal_length,
 )
@@ -63,9 +60,7 @@ __all__ = [
     "LeadingCoefficientError",
     "MixedGraph",
     "Quasipolynomial",
-    "RunConfig",
     "build_golomb_graph",
-    "check_realizability",
     "chromatic_number",
     "chromatic_polynomial",
     "compatible_orientation_count",
@@ -74,7 +69,6 @@ __all__ = [
     "consecutive_subsets",
     "count_golomb_rulers",
     "count_proper_colorings",
-    "count_strict_order_cells",
     "dpcs_pairs",
     "enumerate_acyclic_orientations",
     "enumerate_constrained_orientations",
@@ -86,7 +80,6 @@ __all__ = [
     "iop_vertices",
     "is_acyclic_mixed",
     "is_golomb",
-    "is_golomb_by_interval_sums",
     "markings",
     "multiplicity",
     "optimal_length",

@@ -15,7 +15,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
-from golomb.ratpoly import format_fraction
 from golomb.rulers import dpcs_pairs
 
 Normal = tuple[int, ...]
@@ -100,26 +99,11 @@ def iop_vertices(m: int) -> tuple[Point, ...]:
     return tuple(sorted(points))
 
 
-def _denominator_lcm(points) -> int:
+def denominator_lcm(points) -> int:
+    """lcm of the coordinate denominators of the given points (1 for none)."""
     return lcm(*(c.denominator for point in points for c in point))
 
 
 def period_bound(m: int) -> int:
     """lcm of the coordinate denominators over all subdivision vertices."""
-    return _denominator_lcm(iop_vertices(m))
-
-
-def vertices_json_dict(m: int) -> dict:
-    points = iop_vertices(m)
-    return {
-        "m": m,
-        "period_bound": _denominator_lcm(points),
-        "vertices": [[format_fraction(c) for c in point] for point in points],
-    }
-
-
-def vertices_csv_rows(m: int) -> tuple[list[str], list[list[str]]]:
-    """(header, rows) with coordinates as fraction strings."""
-    header = [f"z{i}" for i in range(1, m + 1)]
-    rows = [[format_fraction(c) for c in point] for point in iop_vertices(m)]
-    return header, rows
+    return denominator_lcm(iop_vertices(m))

@@ -2,8 +2,10 @@
 
 Subcommands mirror the library: ruler counting, quasipolynomial
 construction, cell/orientation enumeration, reciprocity checks, mixed
-graph utilities, and vertex export. JSON output is emitted with sorted
-keys and a fixed indent so it re-serializes byte for byte.
+graph utilities, and vertex export. Each command computes its result once
+and returns a JSON payload together with its text lines or CSV table; one
+writer serialises whichever format was asked for. JSON output is emitted
+with sorted keys and a fixed indent so it re-serializes byte for byte.
 
 Exit codes: 0 success, 1 usage or input error, 2 budget or ceiling
 exhausted, 3 verification mismatch.
@@ -17,9 +19,8 @@ import io
 import json
 import sys
 
-from golomb import golomb_graph, mixed_graphs
-from golomb.arrangement import period_bound, vertices_csv_rows, vertices_json_dict
-from golomb.config import BUDGET_ENV_VAR, RunConfig, resolve_budget
+from golomb import arrangement, golomb_graph, mixed_graphs
+from golomb.config import BUDGET_ENV_VAR, resolve_budget
 from golomb.errors import BudgetExceededError, CeilingExceededError, LeadingCoefficientError
 from golomb.fixtures import FIXTURE_GRAPHS, KNOWN_COUNTS_M3
 from golomb.quasipolynomial import golomb_quasipolynomial, reciprocity_check_golomb
@@ -31,8 +32,11 @@ EXIT_USAGE = 1
 EXIT_BUDGET = 2
 EXIT_MISMATCH = 3
 
+TEXT_JSON = ("text", "json")
+TABULAR = ("text", "json", "csv")
 
-class _UsageError(Exception):
+
+class _UsageError(ValueError):
     pass
 
 
@@ -46,32 +50,34 @@ def build_parser() -> _Parser:
     common.add_argument("--budget", type=int, default=None,
                         help=f"search node budget (default {BUDGET_ENV_VAR} or 10^9)")
     common.add_argument("--jobs", type=int, default=1, help="parallel workers for enumerations")
-    common.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common.add_argument("--output", default=None, help="write output to this path instead of stdout")
 
     parser = _Parser(prog="golomb", description="Golomb ruler and mixed graph enumeration toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("golomb-count", parents=[common], help="count Golomb rulers by length")
+    def add(name, func, formats, summary):
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.add_argument("--format", choices=formats, default="text")
+        p.set_defaults(func=func)
+        return p
+
+    p = add("golomb-count", _cmd_golomb_count, TABULAR, "count Golomb rulers by length")
     p.add_argument("--m", type=int, help="number of gaps (markings minus one)")
     p.add_argument("--t", type=int, help="single length")
     p.add_argument("--t-min", type=int, help="first length of a range")
     p.add_argument("--t-max", type=int, help="last length of a range")
     p.add_argument("--check-table1", action="store_true",
                    help="compare m=3 counts for t=6..35 against the bundled reference values")
-    p.set_defaults(func=_cmd_golomb_count)
 
-    p = sub.add_parser("quasipoly", parents=[common], help="counting quasipolynomial with diagnostics")
+    p = add("quasipoly", _cmd_quasipoly, TEXT_JSON, "counting quasipolynomial with diagnostics")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--period", type=int, default=None, help="override the period hypothesis")
-    p.set_defaults(func=_cmd_quasipoly)
 
-    p = sub.add_parser("regions", parents=[common], help="admissible orientation census")
+    p = add("regions", _cmd_regions, TEXT_JSON, "admissible orientation census")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--list", action="store_true", help="include the orientations themselves")
-    p.set_defaults(func=_cmd_regions)
 
-    p = sub.add_parser("reciprocity", parents=[common], help="negative-argument checks")
+    p = add("reciprocity", _cmd_reciprocity, TEXT_JSON, "negative-argument checks")
     p.add_argument("mode", choices=("golomb", "mixed"))
     p.add_argument("--m", type=int, help="gap count (golomb mode)")
     p.add_argument("--t", type=int, help="single argument")
@@ -79,49 +85,17 @@ def build_parser() -> _Parser:
     p.add_argument("--t-max", type=int)
     p.add_argument("--input", help="mixed graph JSON file (mixed mode)")
     p.add_argument("--fixture", choices=sorted(FIXTURE_GRAPHS), help="bundled graph (mixed mode)")
-    p.set_defaults(func=_cmd_reciprocity)
 
-    p = sub.add_parser("mixed", parents=[common], help="mixed graph utilities")
+    p = add("mixed", _cmd_mixed, TEXT_JSON, "mixed graph utilities")
     p.add_argument("action", choices=("chroma", "orientations", "chromatic-number"))
     p.add_argument("--input", help="mixed graph JSON file")
     p.add_argument("--fixture", choices=sorted(FIXTURE_GRAPHS), help="bundled graph")
     p.add_argument("--t", type=int, help="color count for chroma")
-    p.set_defaults(func=_cmd_mixed)
 
-    p = sub.add_parser("vertices", parents=[common], help="subdivision vertices and period bound")
+    p = add("vertices", _cmd_vertices, TABULAR, "subdivision vertices and period bound")
     p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=_cmd_vertices)
 
     return parser
-
-
-def _write(cfg: RunConfig, text: str) -> None:
-    if cfg.output:
-        with open(cfg.output, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(cfg: RunConfig, payload) -> None:
-    _write(cfg, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _emit_text(cfg: RunConfig, lines) -> None:
-    _write(cfg, "".join(line + "\n" for line in lines))
-
-
-def _emit_csv(cfg: RunConfig, header, rows) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write(cfg, buffer.getvalue())
-
-
-def _no_csv(cfg: RunConfig) -> None:
-    if cfg.fmt == "csv":
-        raise _UsageError("csv output is only available for golomb-count and vertices")
 
 
 def _t_values(args) -> list[int]:
@@ -147,7 +121,7 @@ def _load_graph(args) -> mixed_graphs.MixedGraph:
         return mixed_graphs.from_json_dict(json.load(handle))
 
 
-def _cmd_golomb_count(args, cfg: RunConfig) -> int:
+def _cmd_golomb_count(args):
     if args.check_table1:
         if args.m not in (None, 3):
             raise _UsageError("--check-table1 applies to m=3")
@@ -158,7 +132,7 @@ def _cmd_golomb_count(args, cfg: RunConfig) -> int:
             raise _UsageError("--m is required")
         m = args.m
         ts = _t_values(args)
-    rows = [(t, count_golomb_rulers(m, t, budget=cfg.budget, jobs=cfg.jobs)) for t in ts]
+    rows = [(t, count_golomb_rulers(m, t, budget=args.budget, jobs=args.jobs)) for t in ts]
     payload = {"m": m, "rows": [{"t": t, "count": c} for t, c in rows]}
     mismatches = []
     if args.check_table1:
@@ -168,23 +142,20 @@ def _cmd_golomb_count(args, cfg: RunConfig) -> int:
             if c != KNOWN_COUNTS_M3[t]
         ]
         payload["check"] = {"ok": not mismatches, "mismatches": mismatches}
-    if cfg.fmt == "json":
-        _emit_json(cfg, payload)
-    elif cfg.fmt == "csv":
-        _emit_csv(cfg, ["t", "count"], rows)
-    else:
-        lines = [f"{t}\t{c}" for t, c in rows]
+    table = None
+    if args.format == "csv":
+        table = [("t", "count"), *rows]
+    elif args.format == "text":
+        table = [f"{t}\t{c}" for t, c in rows]
         if args.check_table1:
-            lines.append("reference check: " + ("ok" if not mismatches else f"{len(mismatches)} mismatch(es)"))
-        _emit_text(cfg, lines)
-    return EXIT_MISMATCH if mismatches else EXIT_OK
+            table.append("reference check: " + ("ok" if not mismatches else f"{len(mismatches)} mismatch(es)"))
+    return (EXIT_MISMATCH if mismatches else EXIT_OK), payload, table
 
 
-def _cmd_quasipoly(args, cfg: RunConfig) -> int:
-    _no_csv(cfg)
-    bound = period_bound(args.m)
+def _cmd_quasipoly(args):
+    bound = arrangement.period_bound(args.m)
     period = bound if args.period is None else args.period
-    q = golomb_quasipolynomial(args.m, period_hint=period, budget=cfg.budget)
+    q = golomb_quasipolynomial(args.m, period_hint=period, budget=args.budget)
     leading = q.constituents[0][-1]  # identical across residues, already verified
     payload = {
         "m": args.m,
@@ -195,151 +166,141 @@ def _cmd_quasipoly(args, cfg: RunConfig) -> int:
         "value_at_zero": format_fraction(q.evaluate(0)),
         "quasipolynomial": q.to_json_dict(),
     }
-    if cfg.fmt == "json":
-        _emit_json(cfg, payload)
-    else:
-        lines = [
+    table = None
+    if args.format == "text":
+        table = [
             f"m = {args.m}",
             f"degree = {q.degree}",
-            f"period = {q.period} (bound {payload['period_bound']}, minimal observed {payload['minimal_period']})",
+            f"period = {q.period} (bound {bound}, minimal observed {payload['minimal_period']})",
             f"leading coefficient = {payload['leading_coefficient']}",
             f"value at 0 = {payload['value_at_zero']}",
         ]
-        lines += [
-            f"residue {r}: {poly_str(c)}" for r, c in enumerate(q.constituents)
-        ]
-        _emit_text(cfg, lines)
-    return EXIT_OK
+        table += [f"residue {r}: {poly_str(c)}" for r, c in enumerate(q.constituents)]
+    return EXIT_OK, payload, table
 
 
-def _cmd_regions(args, cfg: RunConfig) -> int:
-    _no_csv(cfg)
+def _cmd_regions(args):
     orientations = golomb_graph.enumerate_constrained_orientations(
-        args.m, budget=cfg.budget, jobs=cfg.jobs
+        args.m, budget=args.budget, jobs=args.jobs
     )
     payload = {"m": args.m, "count": len(orientations)}
     if args.list:
         payload["orientations"] = [list(o.labels()) for o in orientations]
-    if cfg.fmt == "json":
-        _emit_json(cfg, payload)
-    else:
-        lines = [f"m = {args.m}", f"count = {len(orientations)}"]
+    table = None
+    if args.format == "text":
+        table = [f"m = {args.m}", f"count = {len(orientations)}"]
         if args.list:
-            lines += [str(o) for o in orientations]
-        _emit_text(cfg, lines)
-    return EXIT_OK
+            table += [" < ".join(labels) for labels in payload["orientations"]]
+    return EXIT_OK, payload, table
 
 
-def _cmd_reciprocity(args, cfg: RunConfig) -> int:
-    _no_csv(cfg)
+def _cmd_reciprocity(args):
     if args.mode == "golomb":
         if args.m is None:
             raise _UsageError("golomb mode needs --m")
-        report = reciprocity_check_golomb(args.m, _t_values(args), budget=cfg.budget)
+        report = reciprocity_check_golomb(args.m, _t_values(args), budget=args.budget)
+        rows = [(row.t, format_fraction(row.lhs), row.rhs, row.ok) for row in report.rows]
         payload = {
             "mode": "golomb",
             "m": args.m,
             "ok": report.ok,
-            "rows": [
-                {"t": row.t, "lhs": format_fraction(row.lhs), "rhs": row.rhs, "ok": row.ok}
-                for row in report.rows
-            ],
+            "rows": [{"t": t, "lhs": lhs, "rhs": rhs, "ok": ok} for t, lhs, rhs, ok in rows],
         }
-        lines = [
-            f"t={row.t}: lhs={format_fraction(row.lhs)} rhs={row.rhs} {'ok' if row.ok else 'MISMATCH'}"
-            for row in report.rows
-        ]
-        ok = report.ok
     else:
         graph = _load_graph(args)
         if args.t is None:
             raise _UsageError("mixed mode needs --t")
-        report = mixed_graphs.reciprocity_check_mixed(graph, args.t, budget=cfg.budget)
+        report = mixed_graphs.reciprocity_check_mixed(graph, args.t, budget=args.budget)
+        rows = [(report.t, format_fraction(report.lhs), report.rhs, report.ok)]
         payload = {
             "mode": "mixed",
             "n": report.n,
             "t": report.t,
-            "lhs": format_fraction(report.lhs),
+            "lhs": rows[0][1],
             "rhs": report.rhs,
             "ok": report.ok,
         }
-        lines = [
-            f"t={report.t}: lhs={format_fraction(report.lhs)} rhs={report.rhs} "
-            f"{'ok' if report.ok else 'MISMATCH'}"
+    table = None
+    if args.format == "text":
+        table = [
+            f"t={t}: lhs={lhs} rhs={rhs} {'ok' if ok else 'MISMATCH'}" for t, lhs, rhs, ok in rows
         ]
-        ok = report.ok
-    if cfg.fmt == "json":
-        _emit_json(cfg, payload)
-    else:
-        _emit_text(cfg, lines)
-    return EXIT_OK if ok else EXIT_MISMATCH
+    return (EXIT_OK if report.ok else EXIT_MISMATCH), payload, table
 
 
-def _cmd_mixed(args, cfg: RunConfig) -> int:
-    _no_csv(cfg)
+def _cmd_mixed(args):
     graph = _load_graph(args)
+    text = args.format == "text"
+    table = None
     if args.action == "chroma":
-        chi = mixed_graphs.chromatic_polynomial(graph, budget=cfg.budget)
+        chi = mixed_graphs.chromatic_polynomial(graph, budget=args.budget)
         payload = {"n": graph.n, "polynomial": [format_fraction(c) for c in chi]}
-        lines = [f"chromatic polynomial: {poly_str(chi)}"]
+        if text:
+            table = [f"chromatic polynomial: {poly_str(chi)}"]
         if args.t is not None:
-            count = mixed_graphs.count_proper_colorings(graph, args.t, budget=cfg.budget)
+            count = mixed_graphs.count_proper_colorings(graph, args.t, budget=args.budget)
             payload["t"] = args.t
             payload["count"] = count
-            lines.append(f"proper {args.t}-colorings: {count}")
+            if text:
+                table.append(f"proper {args.t}-colorings: {count}")
     elif args.action == "orientations":
-        orientations = mixed_graphs.enumerate_acyclic_orientations(graph, budget=cfg.budget)
+        orientations = mixed_graphs.enumerate_acyclic_orientations(graph, budget=args.budget)
         payload = {
             "n": graph.n,
             "count": len(orientations),
             "orientations": [[list(arc) for arc in o] for o in orientations],
         }
-        lines = [f"acyclic orientations: {len(orientations)}"] + [
-            " ".join(f"{u}->{v}" for u, v in o) for o in orientations
-        ]
+        if text:
+            table = [f"acyclic orientations: {len(orientations)}"]
+            table += [" ".join(f"{u}->{v}" for u, v in o) for o in orientations]
     else:
-        number = mixed_graphs.chromatic_number(graph, budget=cfg.budget)
+        number = mixed_graphs.chromatic_number(graph, budget=args.budget)
         payload = {"n": graph.n, "chromatic_number": number}
-        lines = [f"chromatic number: {number}"]
-    if cfg.fmt == "json":
-        _emit_json(cfg, payload)
-    else:
-        _emit_text(cfg, lines)
-    return EXIT_OK
+        if text:
+            table = [f"chromatic number: {number}"]
+    return EXIT_OK, payload, table
 
 
-def _cmd_vertices(args, cfg: RunConfig) -> int:
-    if cfg.fmt == "json":
-        _emit_json(cfg, vertices_json_dict(args.m))
-    elif cfg.fmt == "csv":
-        header, rows = vertices_csv_rows(args.m)
-        _emit_csv(cfg, header, rows)
+def _cmd_vertices(args):
+    points = arrangement.iop_vertices(args.m)
+    coordinates = [[format_fraction(c) for c in point] for point in points]
+    bound = arrangement.denominator_lcm(points)
+    payload = {"m": args.m, "period_bound": bound, "vertices": coordinates}
+    table = None
+    if args.format == "csv":
+        table = [[f"z{i}" for i in range(1, args.m + 1)], *coordinates]
+    elif args.format == "text":
+        table = [f"m = {args.m}", f"period bound = {bound}"]
+        table += ["(" + ", ".join(point) + ")" for point in coordinates]
+    return EXIT_OK, payload, table
+
+
+def _write(args, payload, table) -> None:
+    """Serialise in the format asked for and write to --output or stdout."""
+    if args.format == "json":
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    elif args.format == "csv":
+        buffer = io.StringIO()
+        csv.writer(buffer).writerows(table)
+        text = buffer.getvalue()
     else:
-        payload = vertices_json_dict(args.m)
-        lines = [f"m = {args.m}", f"period bound = {payload['period_bound']}"]
-        lines += ["(" + ", ".join(point) + ")" for point in payload["vertices"]]
-        _emit_text(cfg, lines)
-    return EXIT_OK
+        text = "".join(line + "\n" for line in table)
+    if args.output:
+        with open(args.output, "w") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        cfg = RunConfig(
-            budget=resolve_budget(args.budget),
-            jobs=args.jobs,
-            fmt=args.format,
-            output=args.output,
-        )
-        return args.func(args, cfg)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        args = build_parser().parse_args(argv)
+        args.budget = resolve_budget(args.budget)
+        if args.jobs < 1:
+            raise ValueError("jobs must be >= 1")
+        code, payload, table = args.func(args)
+        _write(args, payload, table)
+        return code
     except (BudgetExceededError, CeilingExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

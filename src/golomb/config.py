@@ -1,13 +1,11 @@
-"""Run-scale configuration: search budgets, parallelism, output routing."""
+"""The search node budget: its default and its environment override."""
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 DEFAULT_NODE_BUDGET = 10**9
 BUDGET_ENV_VAR = "GOLOMB_BUDGET"
-OUTPUT_FORMATS = ("text", "json", "csv")
 
 
 def resolve_budget(explicit: int | None = None) -> int:
@@ -27,19 +25,3 @@ def resolve_budget(explicit: int | None = None) -> int:
             raise ValueError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
         return value
     return DEFAULT_NODE_BUDGET
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    budget: int = DEFAULT_NODE_BUDGET
-    jobs: int = 1
-    fmt: str = "text"
-    output: str | None = None
-
-    def __post_init__(self):
-        if self.budget <= 0:
-            raise ValueError("budget must be positive")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        if self.fmt not in OUTPUT_FORMATS:
-            raise ValueError(f"format must be one of {OUTPUT_FORMATS}")

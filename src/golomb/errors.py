@@ -13,6 +13,9 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
         self.where = where
 
+    def __reduce__(self):  # lets the error cross from a pool worker to the parent
+        return type(self), (self.budget, self.where)
+
 
 class CeilingExceededError(RuntimeError):
     """An upward search reached its ceiling without finding what it wanted."""

@@ -39,7 +39,6 @@ from golomb.arrangement import golomb_hyperplanes
 from golomb.config import resolve_budget
 from golomb.errors import BudgetExceededError
 from golomb.mixed_graphs import MixedGraph
-from golomb.rulers import enumerate_golomb_rulers
 from golomb.simplex import strict_cone_feasibility
 
 Interval = tuple[int, int]
@@ -364,9 +363,10 @@ def enumerate_constrained_orientations(
     number of combinatorially different Golomb rulers.
 
     jobs > 1 partitions on the first placement and concatenates in index
-    order, so the output is identical for any degree of parallelism (the
-    budget then applies per partition). The bound guards against m for which
-    the census would be astronomically large.
+    order, so the output is identical for any degree of parallelism; the
+    budget caps the search nodes summed over all partitions, as it caps the
+    serial search. The bound guards against m for which the census would be
+    astronomically large.
     """
     return _census(m, resolve_budget(budget), jobs, bound)[0]
 
@@ -374,9 +374,9 @@ def enumerate_constrained_orientations(
 def _census(
     m: int, limit: int, jobs: int = 1, bound: int = DEFAULT_M_BOUND
 ) -> tuple[tuple[GolombOrientation, ...], int]:
-    """enumerate_constrained_orientations, plus the most search nodes any one
-    search used: the whole search when serial, the largest partition with
-    jobs > 1. A budget below that number makes the same census raise."""
+    """enumerate_constrained_orientations, plus the search nodes it used,
+    the same for any jobs. A budget below that number makes the census
+    raise."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > bound:
@@ -389,7 +389,10 @@ def _census(
         with multiprocessing.get_context("fork").Pool(jobs) as pool:
             chunks = pool.map(_orders_worker, tasks)
         orders = [o for chunk, _ in chunks for o in chunk]
-        nodes = max(used for _, used in chunks)
+        # the serial search spends one node on each first placement
+        nodes = tables.n + sum(used for _, used in chunks)
+        if nodes > limit:
+            raise BudgetExceededError(limit, "admissible orientation search")
     else:
         orders, nodes = _orders_worker((m, limit, ()))
     return tuple(
@@ -484,69 +487,4 @@ def complement_orientation(orientation: GolombOrientation) -> GolombOrientation:
     m = orientation.m
     return GolombOrientation(
         m, tuple((m + 1 - b, m + 1 - a) for a, b in orientation.order)
-    )
-
-
-def orientations_json_dict(m: int, *, budget: int | None = None, jobs: int = 1) -> dict:
-    """{"m", "count", "orientations"} with each orientation as its label sequence."""
-    orientations = enumerate_constrained_orientations(m, budget=budget, jobs=jobs)
-    return {
-        "m": m,
-        "count": len(orientations),
-        "orientations": [list(o.labels()) for o in orientations],
-    }
-
-
-@dataclass(frozen=True)
-class RealizabilityReport:
-    """Outcome of the witness sweep in check_realizability."""
-
-    m: int
-    total: int
-    realized: int
-    unrealized: tuple[GolombOrientation, ...]
-    stray_sign_vectors: tuple[tuple[int, ...], ...]
-    length_searched: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.unrealized and not self.stray_sign_vectors
-
-
-def check_realizability(
-    m: int, *, length_ceiling: int = 60, budget: int | None = None
-) -> RealizabilityReport:
-    """Witness every admissible orientation with an integer Golomb ruler whose
-    strict sign pattern realizes its cell, sweeping lengths upward until all
-    are seen or the ceiling is reached.
-
-    Orientations left without a witness are reported, never dropped. A sign
-    pattern seen on a ruler that matches no orientation would falsify the
-    cell/orientation correspondence at this m and is reported as stray.
-    """
-    tables = _tables(m)
-    orientations, sign_rows = _region_data(m, budget)
-    by_signs = dict(zip(sign_rows, orientations))
-    assert len(by_signs) == len(orientations), "sign vectors must be pairwise distinct"
-    realized: set[tuple[int, ...]] = set()
-    stray: set[tuple[int, ...]] = set()
-    searched = 0
-    for t in range(1, length_ceiling + 1):
-        searched = t
-        for gaps in enumerate_golomb_rulers(m, t, budget=budget):
-            row = _point_signs(tables, gaps)
-            if row in by_signs:
-                realized.add(row)
-            else:
-                stray.add(row)
-        if len(realized) == len(orientations) and not stray:
-            break
-    unrealized = tuple(o for row, o in by_signs.items() if row not in realized)
-    return RealizabilityReport(
-        m=m,
-        total=len(orientations),
-        realized=len(realized),
-        unrealized=unrealized,
-        stray_sign_vectors=tuple(sorted(stray)),
-        length_searched=searched,
     )

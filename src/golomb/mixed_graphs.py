@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 
 from golomb.config import resolve_budget
 from golomb.errors import BudgetExceededError
@@ -187,11 +187,6 @@ def enumerate_acyclic_orientations(g: MixedGraph, *, budget: int | None = None) 
     return tuple(out)
 
 
-def orientation_arcs(g: MixedGraph, orientation: Orientation) -> tuple[tuple[int, int], ...]:
-    """The full digraph of an orientation: fixed arcs plus oriented edges."""
-    return g.arcs + orientation
-
-
 def compatible_orientation_count(
     g: MixedGraph,
     coloring,
@@ -252,12 +247,10 @@ def reciprocity_check_mixed(g: MixedGraph, t: int, *, budget: int | None = None)
         raise BudgetExceededError(
             limit, f"{t}^{g.n} maps times {len(orientations)} acyclic orientations"
         )
-    arc_sets = [g.arcs + o for o in orientations]
-    rhs = 0
-    for c in product(range(t), repeat=g.n):
-        for arcs in arc_sets:
-            if all(c[u - 1] <= c[v - 1] for u, v in arcs):
-                rhs += 1
+    rhs = sum(
+        compatible_orientation_count(g, c, orientations=orientations)
+        for c in product(range(t), repeat=g.n)
+    )
     return MixedReciprocityReport(g.n, t, lhs, rhs)
 
 
@@ -271,19 +264,3 @@ def chromatic_number(g: MixedGraph, *, budget: int | None = None) -> int | None:
         if count_proper_colorings(g, t, budget=budget) > 0:
             return t
     raise AssertionError("an acyclic mixed graph is always n-colorable")
-
-
-def count_strict_order_cells(g: MixedGraph) -> int:
-    """Independent count of the strict-order cells compatible with the arcs:
-    distinct edge sign patterns over all vertex total orders that respect
-    every arc. Agrees with the number of acyclic orientations; the test
-    suite checks the two enumerations against each other."""
-    if g.n > 8:
-        raise ValueError("factorial enumeration is limited to n <= 8")
-    cells = set()
-    for perm in permutations(range(1, g.n + 1)):
-        pos = {v: i for i, v in enumerate(perm)}
-        if any(pos[u] > pos[v] for u, v in g.arcs):
-            continue
-        cells.add(tuple(pos[u] < pos[v] for u, v in g.edges))
-    return len(cells)

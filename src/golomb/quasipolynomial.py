@@ -33,7 +33,6 @@ from golomb.ratpoly import (
     Poly,
     format_fraction,
     lagrange,
-    parse_fraction,
     poly_degree,
     poly_eval,
 )
@@ -84,7 +83,7 @@ class Quasipolynomial:
         if not isinstance(data, dict) or "period" not in data or "constituents" not in data:
             raise ValueError("expected an object with 'period' and 'constituents'")
         constituents = tuple(
-            tuple(parse_fraction(c) for c in poly) for poly in data["constituents"]
+            tuple(Fraction(c) for c in poly) for poly in data["constituents"]
         )
         return cls(data["period"], constituents)
 

@@ -71,10 +71,6 @@ def format_fraction(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def parse_fraction(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def poly_str(p: Sequence[Fraction], var: str = "t") -> str:
     """Human-readable rendering, highest power first."""
     parts = []

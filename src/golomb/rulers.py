@@ -5,15 +5,15 @@ gap vector z = (z_1, ..., z_m), z_k = x_k - x_{k-1}, of length t = sum(z).
 It is a Golomb ruler when all pairwise marking differences x_j - x_k are
 distinct. Every difference is the sum of z over a consecutive index
 interval, so distinctness is the same as asking that any two disjoint
-proper consecutive index intervals of z have different sums; both
-recognition routes are implemented and are checked against each other in
-the test suite.
+proper consecutive index intervals of z have different sums.
 
 The enumerator is deliberately a brute-force oracle: a depth-first search
 over gaps that carries the set of marking differences used so far in a
 bitmask and prunes as soon as a difference repeats or the remaining length
 cannot be filled with positive gaps. Counting runs the same search and
-only tallies the rulers it reaches, so no list is built.
+only tallies the rulers it reaches, so no list is built. The node budget
+caps the total over the whole search, whether it runs in one process or
+is split across jobs > 1 workers.
 """
 
 from __future__ import annotations
@@ -79,35 +79,13 @@ def is_golomb(gaps) -> bool:
     return True
 
 
-def is_golomb_by_interval_sums(gaps) -> bool:
-    """Recognition via the interval-sum route: every pair of disjoint proper
-    consecutive index intervals must carry different gap sums.
-
-    Kept free of shared code with :func:`is_golomb` so the two routes can
-    vouch for each other.
-    """
-    m = len(gaps)
-    if m == 0:
-        raise ValueError("a ruler needs at least one gap")
-    if any(g <= 0 for g in gaps):
-        return False
-    prefix = [0]
-    for g in gaps:
-        prefix.append(prefix[-1] + g)
-    for (a, b), (c, d) in dpcs_pairs(m):
-        if prefix[b] - prefix[a - 1] == prefix[d] - prefix[c - 1]:
-            return False
-    return True
-
-
 def enumerate_golomb_rulers(m: int, t: int, *, budget: int | None = None, jobs: int = 1) -> list[Gaps]:
     """All Golomb gap vectors with m positive entries summing to t, in
     lexicographic order.
 
     jobs > 1 partitions the search on the first gap and concatenates the
     partial results in first-gap order, so the output is identical for any
-    degree of parallelism. The node budget then applies to each partition
-    separately.
+    degree of parallelism.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -118,18 +96,22 @@ def enumerate_golomb_rulers(m: int, t: int, *, budget: int | None = None, jobs: 
 
 def _run_search(m: int, t: int, node_budget: int, jobs: int, collect: bool):
     """The ruler list when collecting, else just its length; jobs > 1 splits
-    the search on the first gap and joins the parts in first-gap order."""
+    the search on the first gap and joins the parts in first-gap order. The
+    budget caps the nodes summed over all parts, as it caps one search."""
     if jobs > 1 and m >= 2 and t - m + 1 >= 2:
         tasks = [(m, t, node_budget, first, collect) for first in range(1, t - m + 2)]
         with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            chunks = pool.starmap(_search, tasks)
+            parts = pool.starmap(_search, tasks)
+        if sum(nodes for _, nodes in parts) > node_budget:
+            raise BudgetExceededError(node_budget, "golomb ruler search")
+        chunks = [chunk for chunk, _ in parts]
         return [ruler for chunk in chunks for ruler in chunk] if collect else sum(chunks)
-    return _search(m, t, node_budget, None, collect)
+    return _search(m, t, node_budget, None, collect)[0]
 
 
 def _search(m: int, t: int, node_budget: int, first_gap: int | None, collect: bool):
-    """One depth-first search: the rulers found in lexicographic order when
-    collect is true, otherwise only their number."""
+    """One depth-first search and the nodes it visited: the rulers found in
+    lexicographic order when collect is true, otherwise only their number."""
     out: list[Gaps] = []
     found = 0
     marks = [0]
@@ -173,7 +155,7 @@ def _search(m: int, t: int, node_budget: int, first_gap: int | None, collect: bo
             marks.pop()
 
     rec(0)
-    return out if collect else found
+    return (out if collect else found), nodes
 
 
 def count_golomb_rulers(m: int, t: int, *, budget: int | None = None, jobs: int = 1) -> int:

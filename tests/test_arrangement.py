@@ -1,3 +1,6 @@
+import csv
+import io
+import json
 from fractions import Fraction as F
 from math import lcm
 
@@ -9,9 +12,8 @@ from golomb.arrangement import (
     hyperplane_for_intervals,
     iop_vertices,
     period_bound,
-    vertices_csv_rows,
-    vertices_json_dict,
 )
+from golomb.cli import main
 from golomb.rulers import dpcs_pairs
 
 M3_VERTICES = {
@@ -120,12 +122,14 @@ def test_period_bound_is_denominator_lcm():
         assert period_bound(m) == lcm(*denominators)
 
 
-def test_vertex_exports():
-    payload = vertices_json_dict(3)
+def test_vertex_exports(capsys):
+    assert main(["vertices", "--m", "3", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["m"] == 3
     assert payload["period_bound"] == 12
     assert ["1/4", "1/4", "1/2"] in payload["vertices"]
-    header, rows = vertices_csv_rows(3)
+    assert main(["vertices", "--m", "3", "--format", "csv"]) == 0
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
     assert header == ["z1", "z2", "z3"]
     assert len(rows) == 9
     assert ["0", "0", "1"] in rows

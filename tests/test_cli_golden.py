@@ -1,0 +1,58 @@
+"""Byte-for-byte pins of the CLI's output.
+
+Each row is a command line, the sha256 of what it writes to stdout and its
+exit code. The digests were taken from the CLI as it stood before its
+output code was restructured; any change to a single byte of any format
+fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from golomb.cli import main
+
+GOLDEN = """
+golomb-count --check-table1 --format text  abd657314094a65605b68cea7629494139f003a0702ec1e385414b8a217847ea 0
+golomb-count --check-table1 --format json  3916e3d1a4d703559d9ca2e6c9794cd6def1c5de2f86d54b2225e2d45b5ebc5d 0
+golomb-count --check-table1 --format csv   9832f2f4dc91fd20f64c3cc9bd4430febec7944b05b6880bd27c40ff2c322afa 0
+golomb-count --m 4 --t-min 11 --t-max 20 --format text  b9c95646ff1a285579a3dd81a565f1a5ecc8820708d690c1c5f0c46eed3e4812 0
+golomb-count --m 4 --t-min 11 --t-max 20 --format json  28264cc388415f347f7de0ed7433c0b964ed565ed2a3adac64b21d79bc175bdd 0
+golomb-count --m 4 --t-min 11 --t-max 20 --format csv   64337cf35a61f9f48ac91da02dc080549402104d307c6ab95e346598b0fea724 0
+quasipoly --m 3 --format text  39df2351fdb0784f9f1749f3bd7e4db55bb0bc96f55e28823fb86cdef8dd9d4a 0
+quasipoly --m 3 --format json  9d08b6eab0caef21fb98ba14e60b7ee8b0bd99f6f1a777bf70eb6004b7e88f4b 0
+regions --m 4 --list --format text  11f6066c2b883b265435a8301516f3d891e9a9f1e7b698b2a4e6b05c5824e0a9 0
+regions --m 4 --list --format json  f9c620b61d75f0155a0b1bc7d3bba8169ee07d15bf481cdd62587424037d30a2 0
+reciprocity golomb --m 3 --t-min 0 --t-max 8 --format text  ca0f0f4ed573c1a94437f3b418e628f9fb51682423cbf072c515bdb4f0b3caae 0
+reciprocity golomb --m 3 --t-min 0 --t-max 8 --format json  3d3c71a363bd670d231a80c4658d92016919e3103cfdc7164bb9818744c9a9f0 0
+reciprocity mixed --fixture triangle --t 3 --format text  22bdade52669b6ae0df614a4c1770ffdc5e79bf4eda76d2db01bbe0f24d63fff 0
+reciprocity mixed --fixture triangle --t 3 --format json  5523fc4d2ef84f78c11aaba1af8ccbf7460400365b74f48250a7d149ebde5de4 0
+mixed chroma --fixture triangle --t 4 --format text  bb0d06eb8758562ad6d8143fde31f6c33a141d4850f6247209a6a4143228c994 0
+mixed chroma --fixture triangle --t 4 --format json  76d5fc1dd8223baaee156e379f8f4756b708fd681a009ff3b4d2abeca3aa969f 0
+mixed orientations --fixture triangle --format text  58a39a09530be160fdcfee8df0b6c12f804434c05d45868850b1f5f735b74ff3 0
+mixed orientations --fixture triangle --format json  32d5f09c03500fcfa0213f174eef1c0c6b75f813292ff371dae09f249505b9e8 0
+mixed chromatic-number --fixture triangle --format text  99195bac1216fb8cadb045ea4c81ed9314ca187be276f0061cdf874b80dfafb1 0
+mixed chromatic-number --fixture triangle --format json  0ce214ee34e17538ff1490383115ed93361cadd6edf194b832fd82df55c8b4e7 0
+vertices --m 3 --format text  3d2578602de8f939eae1260fe0352c1fcfd358710919232a3575744f69341694 0
+vertices --m 3 --format json  b0d2a60c86bb13b3ce34a33b66e43ae5b0d50386df08f169ec691b7b2e14b1fe 0
+vertices --m 3 --format csv   eb741b92465f4d093dd101cd729620d9c4da77e84e42fe660e05e70e0a0e5908 0
+regions --m 2 --format csv    e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 1
+"""
+CASES = [line.rsplit(None, 2) for line in GOLDEN.strip().splitlines()]
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command, sha256, code", CASES, ids=[case[0] for case in CASES])
+def test_stdout_is_pinned(capsys, command, sha256, code):
+    assert main(command.split()) == int(code)
+    assert digest(capsys.readouterr().out) == sha256
+
+
+def test_output_file_is_pinned(capsys, tmp_path):
+    target = tmp_path / "regions.txt"
+    assert main(["regions", "--m", "3", "--list", "--output", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert digest(target.read_text()) == "da079715bd984eb11f6a978b19933f75058fd7b3fc3f461b983c0272184ea279"

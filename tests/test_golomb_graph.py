@@ -1,21 +1,24 @@
 import json
+from dataclasses import dataclass
 from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
 from golomb.arrangement import golomb_hyperplanes
+from golomb.cli import main
 from golomb.errors import BudgetExceededError
 from golomb.golomb_graph import (
     GolombOrientation,
+    _point_signs,
+    _region_data,
+    _tables,
     build_golomb_graph,
-    check_realizability,
     complement_orientation,
     consecutive_subsets,
     enumerate_constrained_orientations,
     interval_label,
     multiplicity,
-    orientations_json_dict,
     region_sign_vector,
 )
 from golomb.rulers import enumerate_golomb_rulers, is_golomb
@@ -174,8 +177,13 @@ def test_m5_survivors_are_decided_with_certificates():
 def test_enumeration_bound_and_budget():
     with pytest.raises(ValueError):
         enumerate_constrained_orientations(7)
-    with pytest.raises(BudgetExceededError):
-        enumerate_constrained_orientations(4, budget=50)
+    # the m=4 census visits 1625 nodes: 9 first placements and 1616 below
+    # them, at most 459 in one partition; the budget caps the total for any jobs
+    for jobs in (1, 2):
+        assert len(enumerate_constrained_orientations(4, budget=1625, jobs=jobs)) == 114
+        for budget in (50, 460, 1624):
+            with pytest.raises(BudgetExceededError):
+                enumerate_constrained_orientations(4, budget=budget, jobs=jobs)
 
 
 def test_cached_census_honors_a_later_budget():
@@ -300,6 +308,61 @@ def test_complement_orientation_is_fixed_point_free_involution():
             assert complement_orientation(image) == o
 
 
+@dataclass(frozen=True)
+class RealizabilityReport:
+    """Outcome of the witness sweep in check_realizability."""
+
+    m: int
+    total: int
+    realized: int
+    unrealized: tuple[GolombOrientation, ...]
+    stray_sign_vectors: tuple[tuple[int, ...], ...]
+    length_searched: int
+
+    @property
+    def ok(self) -> bool:
+        return not self.unrealized and not self.stray_sign_vectors
+
+
+def check_realizability(
+    m: int, *, length_ceiling: int = 60, budget: int | None = None
+) -> RealizabilityReport:
+    """Witness every admissible orientation with an integer Golomb ruler whose
+    strict sign pattern realizes its cell, sweeping lengths upward until all
+    are seen or the ceiling is reached.
+
+    Orientations left without a witness are reported, never dropped. A sign
+    pattern seen on a ruler that matches no orientation would falsify the
+    cell/orientation correspondence at this m and is reported as stray.
+    """
+    tables = _tables(m)
+    orientations, sign_rows = _region_data(m, budget)
+    by_signs = dict(zip(sign_rows, orientations))
+    assert len(by_signs) == len(orientations), "sign vectors must be pairwise distinct"
+    realized: set[tuple[int, ...]] = set()
+    stray: set[tuple[int, ...]] = set()
+    searched = 0
+    for t in range(1, length_ceiling + 1):
+        searched = t
+        for gaps in enumerate_golomb_rulers(m, t, budget=budget):
+            row = _point_signs(tables, gaps)
+            if row in by_signs:
+                realized.add(row)
+            else:
+                stray.add(row)
+        if len(realized) == len(orientations) and not stray:
+            break
+    unrealized = tuple(o for row, o in by_signs.items() if row not in realized)
+    return RealizabilityReport(
+        m=m,
+        total=len(orientations),
+        realized=len(realized),
+        unrealized=unrealized,
+        stray_sign_vectors=tuple(sorted(stray)),
+        length_searched=searched,
+    )
+
+
 def test_realizability_by_integer_rulers():
     for m in (1, 2, 3):
         report = check_realizability(m, length_ceiling=15)
@@ -316,17 +379,17 @@ def test_every_small_ruler_lands_in_exactly_one_region():
             assert multiplicity_by_definition(z, orientations) == 1
 
 
-def test_json_export_schema():
-    payload = orientations_json_dict(3)
+def test_json_export_schema(capsys):
+    assert main(["regions", "--m", "3", "--list", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["m"] == 3
     assert payload["count"] == 10
     assert len(payload["orientations"]) == 10
     assert all(len(o) == 5 for o in payload["orientations"])
     assert ["1", "2", "12", "3", "23"] in payload["orientations"]
-    json.dumps(payload)  # serializable
 
-    empty = orientations_json_dict(1)
-    assert empty == {"m": 1, "count": 1, "orientations": [[]]}
+    assert main(["regions", "--m", "1", "--list", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"m": 1, "count": 1, "orientations": [[]]}
 
 
 def test_orientation_str():

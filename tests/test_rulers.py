@@ -11,7 +11,6 @@ from golomb.rulers import (
     enumerate_golomb_rulers,
     gaps_from_markings,
     is_golomb,
-    is_golomb_by_interval_sums,
     markings,
     optimal_length,
 )
@@ -27,6 +26,27 @@ def positive_compositions(m, t):
     for first in range(1, t - m + 2):
         out.extend((first, *rest) for rest in positive_compositions(m - 1, t - first))
     return out
+
+
+def is_golomb_by_interval_sums(gaps) -> bool:
+    """Recognition via the interval-sum route: every pair of disjoint proper
+    consecutive index intervals must carry different gap sums.
+
+    Kept free of shared code with :func:`is_golomb` so the two routes can
+    vouch for each other.
+    """
+    m = len(gaps)
+    if m == 0:
+        raise ValueError("a ruler needs at least one gap")
+    if any(g <= 0 for g in gaps):
+        return False
+    prefix = [0]
+    for g in gaps:
+        prefix.append(prefix[-1] + g)
+    for (a, b), (c, d) in dpcs_pairs(m):
+        if prefix[b] - prefix[a - 1] == prefix[d] - prefix[c - 1]:
+            return False
+    return True
 
 
 def test_markings_roundtrip():
@@ -125,7 +145,7 @@ def test_counts_vanish_below_optimal_length():
 
 
 def test_optimal_lengths():
-    assert [optimal_length(m) for m in (1, 2, 3, 4)] == [1, 3, 6, 11]
+    assert [optimal_length(m) for m in range(1, 8)] == [1, 3, 6, 11, 17, 25, 34]
 
 
 def test_optimal_length_ceiling():
@@ -136,6 +156,13 @@ def test_optimal_length_ceiling():
 def test_budget_exhaustion():
     with pytest.raises(BudgetExceededError):
         enumerate_golomb_rulers(4, 30, budget=10)
+    # the whole m=4, t=30 search visits 6779 nodes, its largest first-gap
+    # part 679: the budget caps the total for any number of jobs
+    for jobs in (1, 2):
+        assert count_golomb_rulers(4, 30, budget=6779, jobs=jobs) == 1880
+        for budget in (10, 2000, 6778):
+            with pytest.raises(BudgetExceededError):
+                count_golomb_rulers(4, 30, budget=budget, jobs=jobs)
 
 
 def test_count_matches_enumeration_serial_and_parallel():
