@@ -5,7 +5,7 @@ shortest length admitting one, from the exhaustive search."""
 import argparse
 import time
 
-from golomb.rulers import count_golomb_rulers, optimal_length
+from golomb.rulers import golomb_counts, optimal_length
 
 
 def main():
@@ -18,8 +18,9 @@ def main():
     shortest = optimal_length(args.m)
     print(f"m={args.m}: shortest Golomb ruler length {shortest}")
     start = time.perf_counter()
-    for t in range(shortest, args.t_max + 1):
-        print(f"{t}\t{count_golomb_rulers(args.m, t, jobs=args.jobs)}")
+    if args.t_max >= shortest:
+        for t, count in golomb_counts(args.m, shortest, args.t_max, jobs=args.jobs).items():
+            print(f"{t}\t{count}")
     print(f"# {time.perf_counter() - start:.2f}s")
 
 

@@ -42,6 +42,7 @@ from golomb.rulers import (
     dpcs_pairs,
     enumerate_golomb_rulers,
     gaps_from_markings,
+    golomb_counts,
     is_golomb,
     markings,
     optimal_length,
@@ -74,6 +75,7 @@ __all__ = [
     "enumerate_constrained_orientations",
     "enumerate_golomb_rulers",
     "gaps_from_markings",
+    "golomb_counts",
     "golomb_hyperplanes",
     "golomb_quasipolynomial",
     "interpolate",

@@ -25,7 +25,7 @@ from golomb.errors import BudgetExceededError, CeilingExceededError, LeadingCoef
 from golomb.fixtures import FIXTURE_GRAPHS, KNOWN_COUNTS_M3
 from golomb.quasipolynomial import golomb_quasipolynomial, reciprocity_check_golomb
 from golomb.ratpoly import format_fraction, poly_str
-from golomb.rulers import count_golomb_rulers
+from golomb.rulers import golomb_counts
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -132,7 +132,8 @@ def _cmd_golomb_count(args):
             raise _UsageError("--m is required")
         m = args.m
         ts = _t_values(args)
-    rows = [(t, count_golomb_rulers(m, t, budget=args.budget, jobs=args.jobs)) for t in ts]
+    counts = golomb_counts(m, ts[0], ts[-1], budget=args.budget, jobs=args.jobs)
+    rows = [(t, counts[t]) for t in ts]
     payload = {"m": m, "rows": [{"t": t, "count": c} for t, c in rows]}
     mismatches = []
     if args.check_table1:

@@ -34,6 +34,7 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from golomb.arrangement import golomb_hyperplanes
 from golomb.config import resolve_budget
@@ -340,14 +341,10 @@ def _realizable(order: tuple[Interval, ...], m: int) -> bool:
     return bool(strict_cone_feasibility(_chain_rows(order, m)))
 
 
-def _orders_worker(args) -> tuple[list[tuple[int, ...]], int]:
-    """Realizable orders below one placement prefix, and the search nodes used."""
-    m, limit, prefix = args
-    tables = _tables(m)
-    orders, nodes = _enumerate_orders(m, limit, prefix)
-    return [
-        o for o in orders if _realizable(tuple(tables.intervals[v] for v in o), m)
-    ], nodes
+def _realizable_orders(m: int, orders: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The orders, as vertex index tuples, that some gap vector realizes."""
+    intervals = _tables(m).intervals
+    return [o for o in orders if _realizable(tuple(intervals[v] for v in o), m)]
 
 
 def enumerate_constrained_orientations(
@@ -385,16 +382,18 @@ def _census(
     if tables.n == 0:
         return (GolombOrientation(m, ()),), 0
     if jobs > 1:
-        tasks = [(m, limit, (v,)) for v in range(tables.n)]
         with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            chunks = pool.map(_orders_worker, tasks)
-        orders = [o for chunk, _ in chunks for o in chunk]
-        # the serial search spends one node on each first placement
-        nodes = tables.n + sum(used for _, used in chunks)
-        if nodes > limit:
-            raise BudgetExceededError(limit, "admissible orientation search")
+            parts = pool.starmap(_enumerate_orders, [(m, limit, (v,)) for v in range(tables.n)])
+            # the serial search spends one node on each first placement; the
+            # total is checked before any survivor reaches the simplex
+            nodes = tables.n + sum(used for _, used in parts)
+            if nodes > limit:
+                raise BudgetExceededError(limit, "admissible orientation search")
+            chunks = pool.starmap(_realizable_orders, [(m, found) for found, _ in parts])
+        orders = [o for chunk in chunks for o in chunk]
     else:
-        orders, nodes = _orders_worker((m, limit, ()))
+        orders, nodes = _enumerate_orders(m, limit, ())
+        orders = _realizable_orders(m, orders)
     return tuple(
         GolombOrientation(m, tuple(tables.intervals[v] for v in o)) for o in orders
     ), nodes
@@ -448,10 +447,13 @@ def region_sign_vector(orientation: GolombOrientation) -> dict[tuple[int, ...], 
 
 
 def _point_signs(tables: _Tables, gaps) -> tuple[int, ...]:
+    """Sign of normal . z for every hyperplane, from the prefix sums of z:
+    the normal's positive block sum minus its negative block sum."""
+    prefix = (0, *accumulate(gaps))
     signs = []
-    for h in tables.hyperplanes:
-        d = sum(c * g for c, g in zip(h, gaps))
-        signs.append(0 if d == 0 else (1 if d > 0 else -1))
+    for (a, b), (c, d) in tables.hyper_sides:
+        diff = prefix[b] - prefix[a - 1] - prefix[d] + prefix[c - 1]
+        signs.append((diff > 0) - (diff < 0))
     return tuple(signs)
 
 
@@ -468,9 +470,13 @@ def multiplicity(z, *, budget: int | None = None) -> int:
         raise ValueError("entries must be non-negative")
     if not any(gaps):
         raise ValueError("the all-zero vector is not a ruler of positive length")
-    tables = _tables(m)
-    point = _point_signs(tables, gaps)
     _, rows = _region_data(m, budget)
+    return _closures(_point_signs(_tables(m), gaps), rows)
+
+
+def _closures(point: tuple[int, ...], rows) -> int:
+    """Number of sign rows whose cell closure contains a point with these
+    hyperplane signs: every nonzero sign of the point agrees with the row."""
     count = 0
     for row in rows:
         for p, s in zip(point, row):
@@ -479,6 +485,24 @@ def multiplicity(z, *, budget: int | None = None) -> int:
         else:
             count += 1
     return count
+
+
+def _multiplicities(m: int, budget: int | None = None):
+    """multiplicity for many non-negative, nonzero gap vectors of length m,
+    unchecked: the rows are scanned once per distinct point sign vector,
+    and the census budget is checked once, here."""
+    tables = _tables(m)
+    _, rows = _region_data(m, budget)
+    memo: dict[tuple[int, ...], int] = {}
+
+    def lookup(gaps) -> int:
+        point = _point_signs(tables, gaps)
+        count = memo.get(point)
+        if count is None:
+            count = memo[point] = _closures(point, rows)
+        return count
+
+    return lookup
 
 
 def complement_orientation(orientation: GolombOrientation) -> GolombOrientation:

@@ -6,7 +6,7 @@ convention, so negative arguments land in the residue class the
 reciprocity identity expects (with p = 12, t = -1 selects residue 11).
 
 The counting quasipolynomial for Golomb gap vectors with m entries is
-produced here by interpolating brute-force counts: degree m-1, period
+produced here by interpolating exhaustive counts: degree m-1, period
 taken from the vertex denominator bound unless overridden, samples at
 t = 1 .. period*m. Its value at 0 and at negative arguments are outputs of
 the interpolated object, never inputs; the raw count at 0 is simply 0,
@@ -28,7 +28,7 @@ from golomb.errors import (
     InsufficientPointsError,
     LeadingCoefficientError,
 )
-from golomb.golomb_graph import _region_data, multiplicity
+from golomb.golomb_graph import _multiplicities, _region_data
 from golomb.ratpoly import (
     Poly,
     format_fraction,
@@ -36,7 +36,7 @@ from golomb.ratpoly import (
     poly_degree,
     poly_eval,
 )
-from golomb.rulers import count_golomb_rulers
+from golomb.rulers import golomb_counts
 
 
 @dataclass(frozen=True)
@@ -131,15 +131,15 @@ def golomb_quasipolynomial(
     Interpolates exhaustive counts at t = 1 .. period*m on degree m-1, with
     the period taken from the vertex denominator bound unless a hint is
     given, then verifies that every constituent has leading coefficient
-    1/(m-1)!.
+    1/(m-1)!. The counts come from one ruler search; the budget caps its
+    nodes.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if period_hint is not None and period_hint < 1:
         raise ValueError("period hint must be >= 1")
     period = period_hint if period_hint is not None else period_bound(m)
-    values = {t: count_golomb_rulers(m, t, budget=budget) for t in range(1, period * m + 1)}
-    q = interpolate(values, m - 1, period)
+    q = interpolate(golomb_counts(m, 1, period * m, budget=budget), m - 1, period)
     expected = Fraction(1, factorial(m - 1))
     for r, coeffs in enumerate(q.constituents):
         if coeffs[-1] != expected:
@@ -189,6 +189,7 @@ def reciprocity_check_golomb(
     the number of admissible orientations (the cell count)."""
     q = golomb_quasipolynomial(m, budget=budget)
     sign = (-1) ** (m - 1)
+    multiplicity = _multiplicities(m, budget)
     rows = []
     for t in t_values:
         if t < 0:
@@ -197,6 +198,6 @@ def reciprocity_check_golomb(
         if t == 0:
             rhs = len(_region_data(m, budget)[0])
         else:
-            rhs = sum(multiplicity(z, budget=budget) for z in _compositions(t, m))
+            rhs = sum(multiplicity(z) for z in _compositions(t, m))
         rows.append(ReciprocityRow(t, lhs, rhs))
     return GolombReciprocityReport(m, tuple(rows))

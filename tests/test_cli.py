@@ -137,6 +137,24 @@ def test_vertices_are_enumerated_once_per_command(capsys, monkeypatch, command):
     assert calls == [3]
 
 
+@pytest.mark.parametrize(
+    "argv", [("golomb-count", "--m", "4", "--t-min", "1", "--t-max", "20"), ("quasipoly", "--m", "3")]
+)
+def test_one_ruler_search_per_command(capsys, monkeypatch, argv):
+    from golomb import rulers
+
+    calls = []
+    original = rulers._search
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(rulers, "_search", counted)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(calls) == 1
+
+
 def test_reciprocity_mixed_input_file(tmp_path, capsys):
     path = tmp_path / "triangle.json"
     path.write_text(json.dumps({"n": 3, "edges": [[1, 3], [2, 3]], "arcs": [[1, 2]]}))

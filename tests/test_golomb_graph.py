@@ -1,6 +1,6 @@
 import json
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -201,6 +201,38 @@ def test_cached_census_honors_a_later_budget():
     ):
         with pytest.raises(BudgetExceededError):
             call()
+
+
+def test_parallel_census_fails_before_the_simplex(monkeypatch):
+    import golomb.golomb_graph as golomb_graph
+
+    def no_lp(rows):
+        raise AssertionError("the simplex ran although the search was over budget")
+
+    # the m=5 census visits 70997 nodes; the forked workers inherit the patch
+    monkeypatch.setattr(golomb_graph, "strict_cone_feasibility", no_lp)
+    with pytest.raises(BudgetExceededError):
+        golomb_graph._census(5, 70996, jobs=2)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=6))
+def test_point_signs_are_the_signs_of_the_dot_products(gaps):
+    expected = []
+    for h in golomb_hyperplanes(len(gaps)):
+        d = sum(c * g for c, g in zip(h, gaps))
+        expected.append(0 if d == 0 else (1 if d > 0 else -1))
+    assert _point_signs(_tables(len(gaps)), gaps) == tuple(expected)
+
+
+def test_memoised_multiplicities_match_multiplicity():
+    from golomb.golomb_graph import _multiplicities
+
+    for m, t_max in [(2, 12), (3, 10), (4, 8)]:
+        lookup = _multiplicities(m)
+        for t in range(1, t_max + 1):
+            for z in product(range(t + 1), repeat=m):
+                if sum(z) == t:
+                    assert lookup(z) == multiplicity(z)
 
 
 def multiplicity_by_definition(z, orientations):

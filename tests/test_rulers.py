@@ -10,6 +10,7 @@ from golomb.rulers import (
     dpcs_pairs,
     enumerate_golomb_rulers,
     gaps_from_markings,
+    golomb_counts,
     is_golomb,
     markings,
     optimal_length,
@@ -156,11 +157,12 @@ def test_optimal_length_ceiling():
 def test_budget_exhaustion():
     with pytest.raises(BudgetExceededError):
         enumerate_golomb_rulers(4, 30, budget=10)
-    # the whole m=4, t=30 search visits 6779 nodes, its largest first-gap
-    # part 679: the budget caps the total for any number of jobs
+    # counting m=4, t=30 keeps only z_4 > z_1 and examines 3110 nodes, its
+    # largest first-gap part 628: the budget caps the total for any number
+    # of jobs
     for jobs in (1, 2):
-        assert count_golomb_rulers(4, 30, budget=6779, jobs=jobs) == 1880
-        for budget in (10, 2000, 6778):
+        assert count_golomb_rulers(4, 30, budget=3110, jobs=jobs) == 1880
+        for budget in (10, 2000, 3109):
             with pytest.raises(BudgetExceededError):
                 count_golomb_rulers(4, 30, budget=budget, jobs=jobs)
 
@@ -172,6 +174,31 @@ def test_count_matches_enumeration_serial_and_parallel():
         assert count_golomb_rulers(m, t, jobs=2) == count
     with pytest.raises(BudgetExceededError):
         count_golomb_rulers(4, 30, budget=10)
+
+
+def test_range_counts_match_filter_oracle():
+    oracle = {
+        (m, t): sum(map(is_golomb_by_interval_sums, positive_compositions(m, t)))
+        for m in range(1, 6)
+        for t in range(0, 23)
+    }
+    for m in range(1, 6):
+        for t_min, t_max in [(0, 22), (1, 9), (7, 19), (22, 22), (0, 0), (13, 14)]:
+            expected = {t: oracle[m, t] for t in range(t_min, t_max + 1)}
+            for jobs in (1, 2):
+                assert golomb_counts(m, t_min, t_max, jobs=jobs) == expected
+        for t in range(1, 23):
+            assert len(enumerate_golomb_rulers(m, t)) == oracle[m, t]
+
+
+def test_range_budget_boundary():
+    # one search counts t = 5 .. 25 for m = 4 and examines 4642 nodes, however
+    # the first gaps are split across jobs
+    expected = golomb_counts(4, 5, 25)
+    for jobs in (1, 2):
+        assert golomb_counts(4, 5, 25, budget=4642, jobs=jobs) == expected
+        with pytest.raises(BudgetExceededError):
+            golomb_counts(4, 5, 25, budget=4641, jobs=jobs)
 
 
 def test_parallel_enumeration_matches_serial():
@@ -187,3 +214,9 @@ def test_input_validation():
         enumerate_golomb_rulers(2, 0)
     with pytest.raises(ValueError):
         count_golomb_rulers(2, -1)
+    with pytest.raises(ValueError):
+        golomb_counts(0, 1, 5)
+    with pytest.raises(ValueError):
+        golomb_counts(2, -1, 5)
+    with pytest.raises(ValueError):
+        golomb_counts(2, 6, 5)
