@@ -4,17 +4,20 @@ For gap vectors z in R^m, every pair of disjoint proper consecutive index
 intervals (U, V) cuts out the linear hyperplane sum(z_U) = sum(z_V). This
 module builds that family in a canonical deduplicated form, enumerates the
 vertices of the subdivision it induces on the simplex {z >= 0, sum z = 1}
-by exact rational elimination, and reports the lcm of the vertex coordinate
-denominators. The period of the ruler counting quasipolynomial divides that
-lcm; equality is observed for small m but never asserted.
+by integer exterior products over a depth-first search of the constraint
+subsets that prunes every dependent prefix, and reports the lcm of the
+vertex coordinate denominators. The period of the ruler counting
+quasipolynomial divides that lcm; equality is observed for small m but
+never asserted.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
+from golomb.errors import BudgetExceededError
 from golomb.rulers import dpcs_pairs
 
 Normal = tuple[int, ...]
@@ -56,31 +59,60 @@ def golomb_hyperplanes(m: int) -> tuple[Normal, ...]:
     return tuple(sorted(seen))
 
 
-def _solve_unique(rows, rhs) -> Point | None:
-    """Solve a square rational system exactly; None unless the solution is unique."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(rows, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(a[r][n] for r in range(n))
+def _wedge_terms(m: int) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...]:
+    """How appending a row maps a k-vector to a (k+1)-vector, for k < m - 1.
+
+    A k-vector lists the Plücker coordinates of k rows: the k x k
+    minors on the column sets of size k, in lexicographic order. Expanding
+    the new last row gives the minor on columns t_0 < ... < t_k as
+    sum_i (-1)^(k+i) row[t_i] * (minor on the columns without t_i). Entry
+    [k][s] lists the (index, sign, column) triples of that sum.
+    """
+    levels = []
+    for k in range(m - 1):
+        index = {cols: i for i, cols in enumerate(combinations(range(m), k))}
+        levels.append(tuple(
+            tuple(
+                (index[cols[:i] + cols[i + 1:]], (-1) ** (k + i), col)
+                for i, col in enumerate(cols)
+            )
+            for cols in combinations(range(m), k + 1)
+        ))
+    return tuple(levels)
 
 
-def iop_vertices(m: int) -> tuple[Point, ...]:
+def _wedge(p, row, level) -> list[int]:
+    """The exterior product of the rows behind `p` with one more row.
+
+    A list, not a tuple: CPython keeps up to 2000 freed tuples of each small
+    size for reuse, and the search's short-lived tuples held about 0.1 MiB.
+    """
+    return [
+        sum(sign * row[col] * p[i] for i, sign, col in terms if row[col]) for terms in level
+    ]
+
+
+def _cofactors(p) -> list[int]:
+    """Cofactors c of the first row of [1 ... 1; rows], from the (m-1)-vector
+    of the rows: c_j = (-1)^j times the minor without column j, so the
+    determinant is sum(c) and a unique solution of [1 ... 1; rows] z = e_1
+    is z = c / sum(c)."""
+    m = len(p)
+    return [-p[m - 1 - j] if j % 2 else p[m - 1 - j] for j in range(m)]
+
+
+def iop_vertices(m: int, *, budget: int | None = None) -> tuple[Point, ...]:
     """Vertices of the subdivision of the simplex by the equal-sum family.
 
     Every point cut out by the affine hull {sum z = 1} together with m-1 of
     the hyperplanes and facets {z_j = 0}, kept when the linear system has a
     unique solution lying in the closed simplex. Deduplicated and sorted;
     empty for m < 2.
+
+    The subsets are searched depth first in index order, each node carrying
+    the integer exterior product of its rows; a zero product is a dependent
+    prefix and is pruned with every extension. The budget caps the number
+    of subsets, C(#constraints, m-1), and is checked before any work.
     """
     if m < 2:
         return ()
@@ -89,13 +121,37 @@ def iop_vertices(m: int) -> tuple[Point, ...]:
         facet = [0] * m
         facet[j] = 1
         constraints.append(tuple(facet))
-    ones = (1,) * m
-    rhs = [1] + [0] * (m - 1)
-    points: set[Point] = set()
-    for subset in combinations(constraints, m - 1):
-        sol = _solve_unique([ones, *subset], rhs)
-        if sol is not None and all(c >= 0 for c in sol):
-            points.add(sol)
+    n, depth = len(constraints), m - 1
+    subsets = comb(n, depth)
+    if budget is not None and subsets > budget:
+        raise BudgetExceededError(
+            budget, f"iop_vertices(m={m}): C({n}, {depth}) = {subsets} constraint subsets"
+        )
+    levels = _wedge_terms(m)
+    found: set[tuple[int, ...]] = set()
+
+    def extend(p, start: int, k: int) -> None:
+        for i in range(start, n - depth + k + 1):
+            q = _wedge(p, constraints[i], levels[k])
+            if not any(q):
+                continue
+            if k + 1 < depth:
+                extend(q, i + 1, k + 1)
+                continue
+            c = _cofactors(q)
+            det = sum(c)
+            if det < 0:
+                c, det = [-x for x in c], -det
+            if det and min(c) >= 0:
+                # other subsets may cut out the same point at another scale
+                g = gcd(*c)
+                found.add(tuple(x // g for x in c))
+
+    extend([1], 0, 0)
+    points = []
+    for c in found:
+        det = sum(c)
+        points.append(tuple(Fraction(x, det) for x in c))
     return tuple(sorted(points))
 
 
@@ -104,6 +160,6 @@ def denominator_lcm(points) -> int:
     return lcm(*(c.denominator for point in points for c in point))
 
 
-def period_bound(m: int) -> int:
+def period_bound(m: int, *, budget: int | None = None) -> int:
     """lcm of the coordinate denominators over all subdivision vertices."""
-    return denominator_lcm(iop_vertices(m))
+    return denominator_lcm(iop_vertices(m, budget=budget))

@@ -154,7 +154,7 @@ def _cmd_golomb_count(args):
 
 
 def _cmd_quasipoly(args):
-    bound = arrangement.period_bound(args.m)
+    bound = arrangement.period_bound(args.m, budget=args.budget)
     period = bound if args.period is None else args.period
     q = golomb_quasipolynomial(args.m, period_hint=period, budget=args.budget)
     leading = q.constituents[0][-1]  # identical across residues, already verified
@@ -263,7 +263,7 @@ def _cmd_mixed(args):
 
 
 def _cmd_vertices(args):
-    points = arrangement.iop_vertices(args.m)
+    points = arrangement.iop_vertices(args.m, budget=args.budget)
     coordinates = [[format_fraction(c) for c in point] for point in points]
     bound = arrangement.denominator_lcm(points)
     payload = {"m": args.m, "period_bound": bound, "vertices": coordinates}

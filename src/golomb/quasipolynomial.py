@@ -132,13 +132,13 @@ def golomb_quasipolynomial(
     the period taken from the vertex denominator bound unless a hint is
     given, then verifies that every constituent has leading coefficient
     1/(m-1)!. The counts come from one ruler search; the budget caps its
-    nodes.
+    nodes, and the constraint subsets behind the period bound.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if period_hint is not None and period_hint < 1:
         raise ValueError("period hint must be >= 1")
-    period = period_hint if period_hint is not None else period_bound(m)
+    period = period_hint if period_hint is not None else period_bound(m, budget=budget)
     q = interpolate(golomb_counts(m, 1, period * m, budget=budget), m - 1, period)
     expected = Fraction(1, factorial(m - 1))
     for r, coeffs in enumerate(q.constituents):

@@ -2,11 +2,16 @@ import csv
 import io
 import json
 from fractions import Fraction as F
+from itertools import combinations
 from math import lcm
 
 import pytest
+from hypothesis import given, strategies as st
 
 from golomb.arrangement import (
+    _cofactors,
+    _wedge,
+    _wedge_terms,
     canonical_normal,
     golomb_hyperplanes,
     hyperplane_for_intervals,
@@ -14,6 +19,7 @@ from golomb.arrangement import (
     period_bound,
 )
 from golomb.cli import main
+from golomb.errors import BudgetExceededError
 from golomb.rulers import dpcs_pairs
 
 M3_VERTICES = {
@@ -27,6 +33,107 @@ M3_VERTICES = {
     (F(1, 2), F(1, 2), F(0)),
     (F(0), F(1), F(0)),
 }
+
+
+def solve_unique(rows, rhs):
+    """Solve a square rational system exactly; None unless the solution is unique."""
+    n = len(rows)
+    a = [[F(x) for x in row] + [F(r)] for row, r in zip(rows, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        inv = a[col][col]
+        a[col] = [x / inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return tuple(a[r][n] for r in range(n))
+
+
+def fraction_vertices(m):
+    """Oracle: one Gauss-Jordan solve of [1 ... 1; subset] z = e_1 for every
+    subset of m-1 hyperplanes and facets, kept when unique and non-negative."""
+    if m < 2:
+        return ()
+    constraints = list(golomb_hyperplanes(m))
+    constraints += [tuple(int(i == j) for i in range(m)) for j in range(m)]
+    ones = (1,) * m
+    rhs = [1] + [0] * (m - 1)
+    points = set()
+    for subset in combinations(constraints, m - 1):
+        sol = solve_unique([ones, *subset], rhs)
+        if sol is not None and all(c >= 0 for c in sol):
+            points.add(sol)
+    return tuple(sorted(points))
+
+
+def rank(rows):
+    """Rank by Fraction elimination."""
+    a = [[F(x) for x in row] for row in rows]
+    r = 0
+    for col in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        for i in range(len(a)):
+            if i != r and a[i][col]:
+                f = a[i][col] / a[r][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        r += 1
+    return r
+
+
+@st.composite
+def integer_systems(draw):
+    """m-1 small integer rows of length m, with zero and repeated rows mixed in."""
+    m = draw(st.integers(2, 5))
+    entries = st.integers(-3, 3)
+    rows = []
+    for _ in range(m - 1):
+        kind = draw(st.sampled_from(("random", "random", "zero", "repeat", "scaled")))
+        if kind == "zero":
+            rows.append((0,) * m)
+        elif kind in ("repeat", "scaled") and rows:
+            factor = 1 if kind == "repeat" else draw(st.sampled_from((-2, -1, 2)))
+            rows.append(tuple(factor * x for x in draw(st.sampled_from(rows))))
+        else:
+            rows.append(tuple(draw(st.lists(entries, min_size=m, max_size=m))))
+    return m, rows
+
+
+@given(integer_systems())
+def test_exterior_products_match_the_fraction_solve(system):
+    m, rows = system
+    levels = _wedge_terms(m)
+    p = [1]
+    for k, row in enumerate(rows):
+        p = _wedge(p, row, levels[k])
+        # the product vanishes exactly when the prefix is dependent
+        assert any(p) == (rank(rows[: k + 1]) == k + 1)
+    c = _cofactors(p)
+    sol = solve_unique([(1,) * m, *rows], [1] + [0] * (m - 1))
+    if sum(c) == 0:
+        assert sol is None
+    else:
+        assert sol == tuple(F(x, sum(c)) for x in c)
+
+
+def test_vertices_match_the_fraction_oracle():
+    for m in (1, 2, 3, 4):
+        assert iop_vertices(m) == fraction_vertices(m)
+
+
+def test_vertex_budget_counts_constraint_subsets():
+    # m=4: 15 hyperplanes and 4 facets, C(19, 3) = 969 subsets
+    assert len(iop_vertices(4, budget=969)) == 42
+    assert period_bound(4, budget=969) == 840
+    for call in (iop_vertices, period_bound):
+        with pytest.raises(BudgetExceededError, match=r"C\(19, 3\) = 969"):
+            call(4, budget=968)
 
 
 def test_canonical_normal():
@@ -114,6 +221,15 @@ def test_period_bounds():
     assert period_bound(1) == 1
     assert period_bound(2) == 2
     assert period_bound(3) == 12
+    assert period_bound(4) == 840
+    assert len(iop_vertices(4)) == 42
+
+
+@pytest.mark.slow
+def test_m5_vertices_and_period_bound():
+    points = iop_vertices(5)
+    assert len(points) == 411
+    assert period_bound(5) == 720720
 
 
 def test_period_bound_is_denominator_lcm():

@@ -127,9 +127,9 @@ def test_vertices_are_enumerated_once_per_command(capsys, monkeypatch, command):
     calls = []
     original = arrangement.iop_vertices
 
-    def counted(m):
+    def counted(m, **kwargs):
         calls.append(m)
-        return original(m)
+        return original(m, **kwargs)
 
     monkeypatch.setattr(arrangement, "iop_vertices", counted)
     code, out, _ = run_cli(capsys, command, "--m", "3", "--format", "json")
@@ -220,6 +220,17 @@ def test_exit_code_budget(capsys):
     code, _, err = run_cli(capsys, "golomb-count", "--m", "4", "--t", "30", "--budget", "10")
     assert code == 2
     assert "budget" in err
+
+
+def test_vertex_budget_fails_before_any_work(capsys, monkeypatch):
+    # m=7 has C(133, 6) = 6 856 577 728 constraint subsets, over the default budget of 10^9
+    monkeypatch.delenv("GOLOMB_BUDGET", raising=False)
+    code, out, err = run_cli(capsys, "vertices", "--m", "7")
+    assert code == 2 and out == "" and "budget" in err
+    code, out, err = run_cli(capsys, "quasipoly", "--m", "4", "--budget", "968")
+    assert code == 2 and out == "" and "C(19, 3) = 969" in err
+    code, out, _ = run_cli(capsys, "vertices", "--m", "4", "--budget", "969", "--format", "json")
+    assert code == 0 and len(json.loads(out)["vertices"]) == 42
 
 
 def test_exit_code_input_error_on_bad_graph_file(tmp_path):
