@@ -37,7 +37,8 @@ def canonical_normal(vec) -> Normal:
 
 
 def hyperplane_for_intervals(u, v, m: int) -> Normal:
-    """Canonical normal of sum(z_u) = sum(z_v) for disjoint index intervals."""
+    """Canonical normal of sum(z_u) = sum(z_v) for index intervals; when they
+    overlap, the shared block cancels."""
     vec = [0] * m
     for i in range(u[0], u[1] + 1):
         vec[i - 1] += 1

@@ -27,16 +27,18 @@ against every inequality) or a Farkas certificate that none exists (also
 checked). Without the propagation m = 6 (20 vertices, 107498 admissible
 orders) is out of reach; with it the m = 6 census takes well under a minute
 in one process.
+
+All per-m state, the census included once a caller needs it, lives on one
+record in one explicit cache, `_TABLES`.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 
-from golomb.arrangement import golomb_hyperplanes
+from golomb.arrangement import golomb_hyperplanes, hyperplane_for_intervals
 from golomb.config import resolve_budget
 from golomb.errors import BudgetExceededError
 from golomb.mixed_graphs import MixedGraph
@@ -84,39 +86,28 @@ def _contains(big: Interval, small: Interval) -> bool:
     return big != small and big[0] <= small[0] and small[1] <= big[1]
 
 
-def _residual_pair(p: Interval, q: Interval) -> tuple[Interval, Interval]:
-    """(p minus q, q minus p) for distinct non-nested intervals; both
-    residuals are intervals again."""
-    (a1, b1), (a2, b2) = p, q
-    if b1 < a2 or b2 < a1:
-        return p, q
-    if a1 < a2:
-        return (a1, a2 - 1), (b1 + 1, b2)
-    return (b2 + 1, b1), (a2, a1 - 1)
-
-
 def build_golomb_graph(m: int) -> MixedGraph:
     """The complete mixed graph on consecutive_subsets(m): vertex i+1 is the
     i-th interval, arcs run along strict containment, everything else is an
     undirected edge."""
-    ivs = consecutive_subsets(m)
+    tables = _tables(m)
     edges, arcs = [], []
-    for i in range(len(ivs)):
-        for j in range(i + 1, len(ivs)):
-            if _contains(ivs[j], ivs[i]):
-                arcs.append((i + 1, j + 1))
-            elif _contains(ivs[i], ivs[j]):
-                arcs.append((j + 1, i + 1))
-            else:
+    for i in range(tables.n):
+        for j in range(i + 1, tables.n):
+            if tables.pair_info[i][j] is not None:
                 edges.append((i + 1, j + 1))
-    return MixedGraph(len(ivs), tuple(edges), tuple(arcs))
+            elif tables.incl_pred[j] >> i & 1:
+                arcs.append((i + 1, j + 1))
+            else:
+                arcs.append((j + 1, i + 1))
+    return MixedGraph(tables.n, tuple(edges), tuple(arcs))
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Tables:
-    m: int
     intervals: tuple[Interval, ...]
     hyperplanes: tuple[tuple[int, ...], ...]
+    # (positive block, negative block) of each hyperplane
     hyper_sides: tuple[tuple[Interval, Interval], ...]
     incl_pred: tuple[int, ...]
     pair_info: tuple[tuple[tuple[int, int] | None, ...], ...]
@@ -124,23 +115,26 @@ class _Tables:
     # additive sign implications, keyed by one premise hyperplane:
     # (premise sign, other hyperplane, its sign, forced hyperplane, forced sign)
     sum_rules: tuple[tuple[tuple[int, int, int, int, int], ...], ...]
+    # (orientations, their sign rows, search nodes used), once a caller needs them
+    census: tuple[tuple[GolombOrientation, ...], tuple[tuple[int, ...], ...], int] | None = None
 
     @property
     def n(self) -> int:
         return len(self.intervals)
 
 
-@lru_cache(maxsize=None)
+# m -> its tables; the only cache in this module
+_TABLES: dict[int, _Tables] = {}
+
+
 def _tables(m: int) -> _Tables:
+    if m in _TABLES:
+        return _TABLES[m]
     ivs = consecutive_subsets(m)
     n = len(ivs)
     hypers = golomb_hyperplanes(m)
     hindex = {h: k for k, h in enumerate(hypers)}
-    sides = []
-    for h in hypers:
-        pos = [i for i, x in enumerate(h, start=1) if x > 0]
-        neg = [i for i, x in enumerate(h, start=1) if x < 0]
-        sides.append(((pos[0], pos[-1]), (neg[0], neg[-1])))
+    sides: list = [None] * len(hypers)
     incl_pred = [0] * n
     pair_info: list[list[tuple[int, int] | None]] = [[None] * n for _ in range(n)]
     class_edges: list[list[tuple[int, int, int]]] = [[] for _ in hypers]
@@ -152,21 +146,17 @@ def _tables(m: int) -> _Tables:
             elif _contains(p, q):
                 incl_pred[i] |= 1 << j
             else:
-                u, v = _residual_pair(p, q)
-                left, right = (u, v) if u[0] < v[0] else (v, u)
-                vec = [0] * m
-                for x in range(left[0], left[1] + 1):
-                    vec[x - 1] = 1
-                for x in range(right[0], right[1] + 1):
-                    vec[x - 1] = -1
-                k = hindex[tuple(vec)]
-                # ordering i before j demands sum(z_u) < sum(z_v), which is
-                # the negative side of the normal exactly when u is its
-                # positive (left) block
-                pol = -1 if u == left else 1
+                # the shared block cancels from sum(z_p) = sum(z_q); ordering i
+                # before j demands sum(z_p) < sum(z_q), the negative side of
+                # the normal exactly when p holds its positive block
+                k = hindex[hyperplane_for_intervals(p, q, m)]
+                pol = -1 if hypers[k][p[0] - 1] > 0 else 1
                 pair_info[i][j] = (k, pol)
                 pair_info[j][i] = (k, -pol)
                 class_edges[k].append((i, j, pol))
+                if p[1] < q[0]:
+                    # the one disjoint pair of the class is its two blocks
+                    sides[k] = (p, q)
     # Exact additions among signed normals force further signs: whenever
     # s1*h1 + s2*h2 = s3*h3, the sides sign(h1.z) = s1 and sign(h2.z) = s2
     # imply sign(h3.z) = s3. These cut the orders that are pairwise
@@ -185,8 +175,7 @@ def _tables(m: int) -> _Tables:
                         if k3 is not None:
                             sum_rules[k1].append((s1, k2, s2, k3, s3))
                             sum_rules[k2].append((s2, k1, s1, k3, s3))
-    return _Tables(
-        m=m,
+    tables = _TABLES[m] = _Tables(
         intervals=ivs,
         hyperplanes=hypers,
         hyper_sides=tuple(sides),
@@ -195,6 +184,7 @@ def _tables(m: int) -> _Tables:
         class_edges=tuple(tuple(c) for c in class_edges),
         sum_rules=tuple(tuple(r) for r in sum_rules),
     )
+    return tables
 
 
 def _enumerate_orders(
@@ -206,8 +196,6 @@ def _enumerate_orders(
     Deterministic: candidates are tried in index order."""
     tables = _tables(m)
     n = tables.n
-    if n == 0:
-        return [()], 0
     pair_info = tables.pair_info
     class_edges = tables.class_edges
     sum_rules = tables.sum_rules
@@ -337,22 +325,17 @@ def _chain_rows(order: tuple[Interval, ...], m: int) -> list[tuple[int, ...]]:
     return rows
 
 
-def _realizable(order: tuple[Interval, ...], m: int) -> bool:
-    return bool(strict_cone_feasibility(_chain_rows(order, m)))
-
-
 def _realizable_orders(m: int, orders: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """The orders, as vertex index tuples, that some gap vector realizes."""
     intervals = _tables(m).intervals
-    return [o for o in orders if _realizable(tuple(intervals[v] for v in o), m)]
+    return [
+        o for o in orders
+        if strict_cone_feasibility(_chain_rows(tuple(intervals[v] for v in o), m))
+    ]
 
 
 def enumerate_constrained_orientations(
-    m: int,
-    *,
-    budget: int | None = None,
-    jobs: int = 1,
-    bound: int = DEFAULT_M_BOUND,
+    m: int, *, budget: int | None = None, jobs: int = 1
 ) -> tuple[GolombOrientation, ...]:
     """All admissible total orders of the intervals, in a fixed depth-first
     order, each certified realizable by an exact feasibility check. Their
@@ -362,22 +345,18 @@ def enumerate_constrained_orientations(
     jobs > 1 partitions on the first placement and concatenates in index
     order, so the output is identical for any degree of parallelism; the
     budget caps the search nodes summed over all partitions, as it caps the
-    serial search. The bound guards against m for which the census would be
+    serial search. m above DEFAULT_M_BOUND is refused: the census would be
     astronomically large.
     """
-    return _census(m, resolve_budget(budget), jobs, bound)[0]
+    return _census(m, resolve_budget(budget), jobs)[0]
 
 
-def _census(
-    m: int, limit: int, jobs: int = 1, bound: int = DEFAULT_M_BOUND
-) -> tuple[tuple[GolombOrientation, ...], int]:
+def _census(m: int, limit: int, jobs: int = 1) -> tuple[tuple[GolombOrientation, ...], int]:
     """enumerate_constrained_orientations, plus the search nodes it used,
     the same for any jobs. A budget below that number makes the census
     raise."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m > bound:
-        raise ValueError(f"m={m} is above the enumeration bound {bound}; raise bound= to override")
+    if m > DEFAULT_M_BOUND:
+        raise ValueError(f"m={m} is above the enumeration bound {DEFAULT_M_BOUND}")
     tables = _tables(m)
     if tables.n == 0:
         return (GolombOrientation(m, ()),), 0
@@ -399,35 +378,27 @@ def _census(
     ), nodes
 
 
-# m -> (orientations, their sign rows, search nodes the census used)
-_REGION_CACHE: dict[
-    int, tuple[tuple[GolombOrientation, ...], tuple[tuple[int, ...], ...], int]
-] = {}
+def _sign_row(tables: _Tables, order) -> tuple[int, ...]:
+    """Side of every hyperplane (aligned with tables.hyperplanes) in the cell
+    of a total order of the intervals: -1 when its positive block comes
+    first, +1 when its negative block does."""
+    pos = {iv: i for i, iv in enumerate(order)}
+    return tuple(-1 if pos[left] < pos[right] else 1 for left, right in tables.hyper_sides)
 
 
 def _region_data(
     m: int, budget: int | None = None
 ) -> tuple[tuple[GolombOrientation, ...], tuple[tuple[int, ...], ...]]:
-    """Orientations and their hyperplane sign rows (aligned with
-    golomb_hyperplanes(m), -1 when the positive block comes first), computed
-    once per m by a serial census. Every call honors its budget: one below
+    """Orientations and their sign rows, computed once per m by a serial
+    census and kept on the tables. Every call honors its budget: one below
     the nodes that census used raises, as a fresh census would."""
     limit = resolve_budget(budget)
-    cached = _REGION_CACHE.get(m)
-    if cached is None:
-        tables = _tables(m)
+    tables = _tables(m)
+    if tables.census is None:
         orientations, nodes = _census(m, limit)
-        rows = []
-        for o in orientations:
-            pos = {iv: i for i, iv in enumerate(o.order)}
-            rows.append(
-                tuple(
-                    -1 if pos[left] < pos[right] else 1
-                    for left, right in tables.hyper_sides
-                )
-            )
-        cached = _REGION_CACHE[m] = (orientations, tuple(rows), nodes)
-    orientations, rows, nodes = cached
+        rows = tuple(_sign_row(tables, o.order) for o in orientations)
+        tables.census = (orientations, rows, nodes)
+    orientations, rows, nodes = tables.census
     if nodes > limit:
         raise BudgetExceededError(limit, "admissible orientation search")
     return orientations, rows
@@ -437,13 +408,10 @@ def region_sign_vector(orientation: GolombOrientation) -> dict[tuple[int, ...], 
     """Map each canonical hyperplane normal to the strict side (-1 or +1 for
     normal . z negative or positive) of the cell this orientation describes."""
     tables = _tables(orientation.m)
-    pos = {iv: i for i, iv in enumerate(orientation.order)}
-    if len(pos) != tables.n or set(pos) != set(tables.intervals):
+    order = orientation.order
+    if len(order) != tables.n or set(order) != set(tables.intervals):
         raise ValueError("orientation does not rank every proper consecutive subset exactly once")
-    return {
-        h: (-1 if pos[left] < pos[right] else 1)
-        for h, (left, right) in zip(tables.hyperplanes, tables.hyper_sides)
-    }
+    return dict(zip(tables.hyperplanes, _sign_row(tables, order)))
 
 
 def _point_signs(tables: _Tables, gaps) -> tuple[int, ...]:
@@ -463,34 +431,20 @@ def multiplicity(z, *, budget: int | None = None) -> int:
     exactly when z is a Golomb ruler; ties put z on a hyperplane and into
     several closures."""
     gaps = tuple(z)
-    m = len(gaps)
-    if m < 1:
+    if not gaps:
         raise ValueError("z needs at least one entry")
     if any(g < 0 for g in gaps):
         raise ValueError("entries must be non-negative")
     if not any(gaps):
         raise ValueError("the all-zero vector is not a ruler of positive length")
-    _, rows = _region_data(m, budget)
-    return _closures(_point_signs(_tables(m), gaps), rows)
-
-
-def _closures(point: tuple[int, ...], rows) -> int:
-    """Number of sign rows whose cell closure contains a point with these
-    hyperplane signs: every nonzero sign of the point agrees with the row."""
-    count = 0
-    for row in rows:
-        for p, s in zip(point, row):
-            if p != 0 and p != s:
-                break
-        else:
-            count += 1
-    return count
+    return _multiplicities(len(gaps), budget)(gaps)
 
 
 def _multiplicities(m: int, budget: int | None = None):
-    """multiplicity for many non-negative, nonzero gap vectors of length m,
+    """multiplicity for many non-negative gap vectors of length m,
     unchecked: the rows are scanned once per distinct point sign vector,
-    and the census budget is checked once, here."""
+    and the census budget is checked once, here. The zero vector lies in
+    every closure, so its value is the number of cells."""
     tables = _tables(m)
     _, rows = _region_data(m, budget)
     memo: dict[tuple[int, ...], int] = {}
@@ -499,7 +453,15 @@ def _multiplicities(m: int, budget: int | None = None):
         point = _point_signs(tables, gaps)
         count = memo.get(point)
         if count is None:
-            count = memo[point] = _closures(point, rows)
+            # the closures that hold the point: every nonzero sign agrees
+            count = 0
+            for row in rows:
+                for p, s in zip(point, row):
+                    if p != 0 and p != s:
+                        break
+                else:
+                    count += 1
+            memo[point] = count
         return count
 
     return lookup

@@ -28,7 +28,7 @@ from golomb.errors import (
     InsufficientPointsError,
     LeadingCoefficientError,
 )
-from golomb.golomb_graph import _multiplicities, _region_data
+from golomb.golomb_graph import _multiplicities
 from golomb.ratpoly import (
     Poly,
     format_fraction,
@@ -154,7 +154,7 @@ def golomb_quasipolynomial(
 class ReciprocityRow:
     t: int
     lhs: Fraction  # (-1)^(m-1) * q(-t)
-    rhs: int       # multiplicity-weighted ruler count, or the cell count at t=0
+    rhs: int       # multiplicity-weighted count of the gap vectors of total t
 
     @property
     def ok(self) -> bool:
@@ -184,20 +184,18 @@ def _compositions(total: int, parts: int):
 def reciprocity_check_golomb(
     m: int, t_values: Iterable[int], *, budget: int | None = None
 ) -> GolombReciprocityReport:
-    """For each t >= 1 compare (-1)^(m-1) q(-t) with the sum of multiplicities
-    over all non-negative gap vectors of total t; for t = 0 compare against
-    the number of admissible orientations (the cell count)."""
+    """For each t >= 0 compare (-1)^(m-1) q(-t) with the sum of multiplicities
+    over all non-negative gap vectors of total t. At t = 0 that sum is the
+    zero vector's multiplicity, the number of cells: the origin lies in
+    every cell closure. Negative t is refused before any work."""
+    t_values = list(t_values)
+    if any(t < 0 for t in t_values):
+        raise ValueError("t values must be >= 0")
     q = golomb_quasipolynomial(m, budget=budget)
     sign = (-1) ** (m - 1)
     multiplicity = _multiplicities(m, budget)
     rows = []
     for t in t_values:
-        if t < 0:
-            raise ValueError("t values must be >= 0")
-        lhs = sign * q.evaluate(-t)
-        if t == 0:
-            rhs = len(_region_data(m, budget)[0])
-        else:
-            rhs = sum(multiplicity(z) for z in _compositions(t, m))
-        rows.append(ReciprocityRow(t, lhs, rhs))
+        rhs = sum(multiplicity(z) for z in _compositions(t, m))
+        rows.append(ReciprocityRow(t, sign * q.evaluate(-t), rhs))
     return GolombReciprocityReport(m, tuple(rows))

@@ -3,8 +3,9 @@
 Each row is a command line, the sha256 of what it writes to stdout and its
 exit code. The digests were taken from the CLI as it stood before its
 output code was restructured (the `vertices --m 4` pair before the vertex
-enumeration moved to integer arithmetic); any change to a single byte of
-any format fails here.
+enumeration moved to integer arithmetic; the last four rows before the
+per-m tables of the interval graph were rebuilt); any change to a single
+byte of any format fails here.
 """
 
 import hashlib
@@ -40,6 +41,10 @@ vertices --m 3 --format csv   eb741b92465f4d093dd101cd729620d9c4da77e84e42fe660e
 vertices --m 4 --format json  d225c6f9387313131383ef0a4fbee529efc7210a3540584c6a036fc7f1235893 0
 vertices --m 4 --format csv   a641e8298f1e51c20b3c335ec66ff72788398998f0f56ac64e830da5142034fd 0
 regions --m 2 --format csv    e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 1
+regions --m 5 --list --format json  5dac1e08a431352ed374b8de84e89abf1ad23ddd00bc06ee94e5f6ad028f2ccd 0
+regions --m 5 --format text  cf4fd859ac3399e5168f06cef88c88a5d5e7f83f1818e3bab088de85447f8143 0
+reciprocity golomb --m 2 --t-min 0 --t-max 30 --format json  d84ae113b842bbe859058665dc1f47ed65fa2ce0745fbc13726d2532699f6deb 0
+reciprocity golomb --m 3 --t-min 0 --t-max 30 --format json  b02e2ca00ee690d5f6a4b9f73546736334e130fece46d157fad1b26e613ca1d8 0
 """
 CASES = [line.rsplit(None, 2) for line in GOLDEN.strip().splitlines()]
 

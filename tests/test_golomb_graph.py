@@ -5,7 +5,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, strategies as st
 
-from golomb.arrangement import golomb_hyperplanes
+from golomb.arrangement import canonical_normal, golomb_hyperplanes
 from golomb.cli import main
 from golomb.errors import BudgetExceededError
 from golomb.golomb_graph import (
@@ -103,6 +103,48 @@ def test_golomb_graph_m3_structure():
     }
 
 
+def test_golomb_graph_matches_containment():
+    def contains(big, small):
+        return big != small and big[0] <= small[0] and small[1] <= big[1]
+
+    for m in range(1, 7):
+        ivs = consecutive_subsets(m)
+        g = build_golomb_graph(m)
+        arcs, edges = set(), set()
+        for i, p in enumerate(ivs, start=1):
+            for j, q in enumerate(ivs, start=1):
+                if contains(q, p):
+                    arcs.add((i, j))
+                elif i < j and not contains(p, q):
+                    edges.add((i, j))
+        assert g.n == len(ivs)
+        assert len(g.arcs) == len(arcs) and set(g.arcs) == arcs
+        assert len(g.edges) == len(edges) and set(g.edges) == edges
+
+
+def test_pair_tables_match_interval_indicators():
+    """Each non-nested pair (p, q) sits on the hyperplane of the indicator
+    difference d = ind(p) - ind(q), and ordering p first demands its
+    negative side exactly when the canonical normal is d itself."""
+    for m in range(1, 8):
+        tables = _tables(m)
+        ivs = tables.intervals
+        for i, p in enumerate(ivs):
+            for j, q in enumerate(ivs):
+                nested = p[0] <= q[0] and q[1] <= p[1] or q[0] <= p[0] and p[1] <= q[1]
+                if nested:
+                    assert tables.pair_info[i][j] is None
+                    continue
+                d = tuple(
+                    (p[0] <= x <= p[1]) - (q[0] <= x <= q[1]) for x in range(1, m + 1)
+                )
+                h = canonical_normal(d)
+                assert tables.pair_info[i][j] == (
+                    tables.hyperplanes.index(h),
+                    -1 if h == d else 1,
+                )
+
+
 def test_golomb_graph_small_cases():
     # the full interval [1, m] is not a proper subset and never a vertex
     assert build_golomb_graph(1).n == 0
@@ -186,9 +228,10 @@ def test_enumeration_bound_and_budget():
                 enumerate_constrained_orientations(4, budget=budget, jobs=jobs)
 
 
-def test_cached_census_honors_a_later_budget():
-    from golomb.golomb_graph import _census
+def test_cached_census_honors_a_later_budget(monkeypatch):
+    from golomb.golomb_graph import _TABLES, _census
 
+    monkeypatch.delitem(_TABLES, 4, raising=False)
     assert multiplicity((1, 2, 3, 5)) == 4  # the m=4 census is now cached
     with pytest.raises(BudgetExceededError):
         multiplicity((1, 2, 3, 5), budget=10)
@@ -233,6 +276,14 @@ def test_memoised_multiplicities_match_multiplicity():
             for z in product(range(t + 1), repeat=m):
                 if sum(z) == t:
                     assert lookup(z) == multiplicity(z)
+
+
+def test_zero_vector_lies_in_every_closure():
+    from golomb.golomb_graph import _multiplicities
+
+    for m in range(1, 5):
+        cells = len(enumerate_constrained_orientations(m))
+        assert _multiplicities(m)((0,) * m) == cells
 
 
 def multiplicity_by_definition(z, orientations):

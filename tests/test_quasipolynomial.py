@@ -177,3 +177,17 @@ def test_reciprocity_m1():
     report = reciprocity_check_golomb(1, range(1, 6))
     assert report.ok
     assert all(row.lhs == row.rhs == 1 for row in report.rows)
+
+
+def test_negative_t_is_refused_before_any_work(monkeypatch):
+    import golomb.quasipolynomial as quasipolynomial
+    from golomb.cli import main
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the quasipolynomial was built although a t is negative")
+
+    monkeypatch.setattr(quasipolynomial, "golomb_quasipolynomial", no_work)
+    for t_values in ([2, -1], iter([0, -3])):
+        with pytest.raises(ValueError):
+            reciprocity_check_golomb(3, t_values)
+    assert main(["reciprocity", "golomb", "--m", "4", "--t", "-1"]) == 1
