@@ -115,8 +115,11 @@ class _Tables:
     # additive sign implications, keyed by one premise hyperplane:
     # (premise sign, other hyperplane, its sign, forced hyperplane, forced sign)
     sum_rules: tuple[tuple[tuple[int, int, int, int, int], ...], ...]
-    # (orientations, their sign rows, search nodes used), once a caller needs them
-    census: tuple[tuple[GolombOrientation, ...], tuple[tuple[int, ...], ...], int] | None = None
+    # (orientations, their sign rows, each row's +1 positions as a bit mask,
+    # search nodes used), once a caller needs them
+    census: tuple[
+        tuple[GolombOrientation, ...], tuple[tuple[int, ...], ...], tuple[int, ...], int
+    ] | None = None
 
     @property
     def n(self) -> int:
@@ -388,20 +391,22 @@ def _sign_row(tables: _Tables, order) -> tuple[int, ...]:
 
 def _region_data(
     m: int, budget: int | None = None
-) -> tuple[tuple[GolombOrientation, ...], tuple[tuple[int, ...], ...]]:
-    """Orientations and their sign rows, computed once per m by a serial
-    census and kept on the tables. Every call honors its budget: one below
-    the nodes that census used raises, as a fresh census would."""
+) -> tuple[tuple[GolombOrientation, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Orientations, their sign rows and the rows' +1 positions as bit masks,
+    computed once per m by a serial census and kept on the tables. Every
+    call honors its budget: one below the nodes that census used raises, as
+    a fresh census would."""
     limit = resolve_budget(budget)
     tables = _tables(m)
     if tables.census is None:
         orientations, nodes = _census(m, limit)
         rows = tuple(_sign_row(tables, o.order) for o in orientations)
-        tables.census = (orientations, rows, nodes)
-    orientations, rows, nodes = tables.census
+        plus = tuple(sum(1 << k for k, s in enumerate(row) if s > 0) for row in rows)
+        tables.census = (orientations, rows, plus, nodes)
+    orientations, rows, plus, nodes = tables.census
     if nodes > limit:
         raise BudgetExceededError(limit, "admissible orientation search")
-    return orientations, rows
+    return orientations, rows, plus
 
 
 def region_sign_vector(orientation: GolombOrientation) -> dict[tuple[int, ...], int]:
@@ -446,21 +451,22 @@ def _multiplicities(m: int, budget: int | None = None):
     and the census budget is checked once, here. The zero vector lies in
     every closure, so its value is the number of cells."""
     tables = _tables(m)
-    _, rows = _region_data(m, budget)
+    _, _, row_plus = _region_data(m, budget)
     memo: dict[tuple[int, ...], int] = {}
 
     def lookup(gaps) -> int:
         point = _point_signs(tables, gaps)
         count = memo.get(point)
         if count is None:
-            # the closures that hold the point: every nonzero sign agrees
-            count = 0
-            for row in rows:
-                for p, s in zip(point, row):
-                    if p != 0 and p != s:
-                        break
-                else:
-                    count += 1
+            # the closures that hold the point: every nonzero sign agrees,
+            # so the row's +1 positions match the point's on its support
+            plus = support = 0
+            for k, p in enumerate(point):
+                if p:
+                    support |= 1 << k
+                    if p > 0:
+                        plus |= 1 << k
+            count = sum(not (plus ^ row) & support for row in row_plus)
             memo[point] = count
         return count
 

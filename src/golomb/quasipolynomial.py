@@ -12,6 +12,18 @@ t = 1 .. period*m. Its value at 0 and at negative arguments are outputs of
 the interpolated object, never inputs; the raw count at 0 is simply 0,
 while the quasipolynomial value at 0 is the number of cells of the
 subdivided simplex.
+
+The reciprocity check weighs every non-negative gap vector of total t by
+its multiplicity, the number of cell closures holding it. That weight
+differs from 1 only on the equal-sum hyperplanes: a vector off all of them
+has no zero sign, and moving it along (1, ..., 1) into the open simplex
+keeps every sign, so it lies in exactly one closure. The sum is therefore
+C(t+m-1, m-1) plus mult(z) - 1 over the points on some hyperplane. Those
+are found line by line: on the line z_{m-1} = x, z_m = r - x with a fixed
+prefix, each hyperplane is affine in x with slope in -2..2, so it holds the
+whole line, meets it in one integer x or misses it. A level costs one walk
+over its C(t+m-2, m-2) lines instead of one lookup for each of its
+C(t+m-1, m-1) points.
 """
 
 from __future__ import annotations
@@ -19,16 +31,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, Mapping
 
 from golomb.arrangement import period_bound
+from golomb.config import resolve_budget
 from golomb.errors import (
+    BudgetExceededError,
     InconsistentValuesError,
     InsufficientPointsError,
     LeadingCoefficientError,
 )
-from golomb.golomb_graph import _multiplicities
+from golomb.golomb_graph import _multiplicities, _tables
 from golomb.ratpoly import (
     Poly,
     format_fraction,
@@ -171,14 +185,49 @@ class GolombReciprocityReport:
         return all(row.ok for row in self.rows)
 
 
-def _compositions(total: int, parts: int):
-    """Non-negative integer vectors of the given length and sum."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head, *rest)
+def _line_forms(m: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """Every hyperplane normal h restricted to the lines z_{m-1} = x,
+    z_m = r - x: h.z = h_prefix.(z_1..z_{m-2}) + h_m*r + (h_{m-1} - h_m)*x.
+    Returns (h_prefix, h_m, slope) per hyperplane."""
+    return tuple((h[: m - 2], h[m - 1], h[m - 2] - h[m - 1]) for h in _tables(m).hyperplanes)
+
+
+def _weighted_level(m: int, t: int, forms, multiplicity) -> int:
+    """Sum of multiplicities over the non-negative gap vectors of total t, by
+    lines: C(t+m-1, m-1) counts every vector once, and only the points on
+    some hyperplane add their multiplicity minus one. On a line a hyperplane
+    is affine in x, so it holds the whole line, one x or none."""
+    if m == 1:
+        return 1  # no hyperplanes; the single vector (t,) lies in the one cell
+    extra = 0
+
+    def walk(depth: int, prefix: tuple[int, ...], slack: int, values: list[int]) -> None:
+        nonlocal extra
+        if depth == m - 2:
+            on_hyperplanes: set[int] | range = set()
+            for value, (_, last, slope) in zip(values, forms):
+                c = value + last * slack
+                if slope == 0:
+                    if c == 0:
+                        on_hyperplanes = range(slack + 1)
+                        break
+                else:
+                    x, off = divmod(-c, slope)
+                    if not off and 0 <= x <= slack:
+                        on_hyperplanes.add(x)
+            for x in on_hyperplanes:
+                extra += multiplicity((*prefix, x, slack - x)) - 1
+            return
+        for z in range(slack + 1):
+            walk(
+                depth + 1,
+                (*prefix, z),
+                slack - z,
+                [v + form[0][depth] * z for v, form in zip(values, forms)],
+            )
+
+    walk(0, (), t, [0] * len(forms))
+    return comb(t + m - 1, m - 1) + extra
 
 
 def reciprocity_check_golomb(
@@ -187,15 +236,26 @@ def reciprocity_check_golomb(
     """For each t >= 0 compare (-1)^(m-1) q(-t) with the sum of multiplicities
     over all non-negative gap vectors of total t. At t = 0 that sum is the
     zero vector's multiplicity, the number of cells: the origin lies in
-    every cell closure. Negative t is refused before any work."""
+    every cell closure.
+
+    A gap vector off every hyperplane has no zero sign, so exactly one cell
+    closure holds it (moving it along (1, ..., 1) into the open simplex
+    keeps every sign). The sum is therefore C(t+m-1, m-1) plus mult(z) - 1
+    over the points on the hyperplanes, found line by line; each distinct t
+    walks C(t+m-2, m-2) lines (none for m = 1). Negative t is refused, and
+    a line count above the budget raises, before any other work."""
     t_values = list(t_values)
     if any(t < 0 for t in t_values):
         raise ValueError("t values must be >= 0")
+    levels = set(t_values)
+    lines = sum(comb(t + m - 2, m - 2) for t in levels) if m >= 2 else 0
+    limit = resolve_budget(budget)
+    if lines > limit:
+        raise BudgetExceededError(limit, f"{lines} lines of the golomb reciprocity sum")
     q = golomb_quasipolynomial(m, budget=budget)
     sign = (-1) ** (m - 1)
     multiplicity = _multiplicities(m, budget)
-    rows = []
-    for t in t_values:
-        rhs = sum(multiplicity(z) for z in _compositions(t, m))
-        rows.append(ReciprocityRow(t, sign * q.evaluate(-t), rhs))
-    return GolombReciprocityReport(m, tuple(rows))
+    forms = _line_forms(m)
+    rhs = {t: _weighted_level(m, t, forms, multiplicity) for t in levels}
+    rows = tuple(ReciprocityRow(t, sign * q.evaluate(-t), rhs[t]) for t in t_values)
+    return GolombReciprocityReport(m, rows)

@@ -23,7 +23,8 @@ from golomb.mixed_graphs import (
 from golomb.quasipolynomial import golomb_quasipolynomial, reciprocity_check_golomb
 from golomb.ratpoly import poly_eval
 from golomb.rulers import count_golomb_rulers, is_golomb, optimal_length
-from test_golomb_graph import _positive_compositions
+
+from compositions import positive_compositions
 from test_mixed_graphs import (
     TABLE_T2,
     TABLE_T3,
@@ -125,7 +126,7 @@ def test_07_property_suite():
     # multiplicity 1 exactly at Golomb rulers, exhaustively
     for m in range(1, 5):
         for t in range(1, 21):
-            for z in _positive_compositions(m, t):
+            for z in positive_compositions(m, t):
                 assert (multiplicity(z) == 1) == is_golomb(z)
 
     # quasipolynomial equals brute force on lengths never interpolated

@@ -1,4 +1,5 @@
 import json
+import random
 from dataclasses import dataclass
 from itertools import permutations, product
 
@@ -23,6 +24,8 @@ from golomb.golomb_graph import (
 )
 from golomb.rulers import enumerate_golomb_rulers, is_golomb
 from golomb.simplex import strict_cone_feasibility
+
+from compositions import positive_compositions
 
 
 def oracle_orientations(m):
@@ -277,6 +280,16 @@ def test_memoised_multiplicities_match_multiplicity():
                 if sum(z) == t:
                     assert lookup(z) == multiplicity(z)
 
+    # m = 5 on a sample, against the definition: small entries put most
+    # points on several hyperplanes at once
+    lookup = _multiplicities(5)
+    orientations = _region_data(5)[0]
+    rng = random.Random(5)
+    for _ in range(40):
+        z = tuple(rng.randrange(4) for _ in range(5))
+        if any(z):
+            assert lookup(z) == multiplicity(z) == multiplicity_by_definition(z, orientations)
+
 
 def test_zero_vector_lies_in_every_closure():
     from golomb.golomb_graph import _multiplicities
@@ -325,7 +338,7 @@ def test_multiplicity_matches_direct_definition(z):
 def test_multiplicity_one_iff_golomb():
     for m in (2, 3):
         for t in range(1, 13):
-            for z in _positive_compositions(m, t):
+            for z in positive_compositions(m, t):
                 assert (multiplicity(z) == 1) == is_golomb(z)
 
 
@@ -333,15 +346,6 @@ def test_zero_entries_defeat_golombness_but_not_multiplicity_one():
     # boundary points can sit in a single closed cell without being rulers
     assert multiplicity((0, 1)) == 1
     assert not is_golomb((0, 1))
-
-
-def _positive_compositions(m, t):
-    if m == 1:
-        return [(t,)] if t >= 1 else []
-    out = []
-    for first in range(1, t - m + 2):
-        out.extend((first, *rest) for rest in _positive_compositions(m - 1, t - first))
-    return out
 
 
 def test_sign_vectors_are_distinct_and_match_ruler_relations():
@@ -419,7 +423,7 @@ def check_realizability(
     cell/orientation correspondence at this m and is reported as stray.
     """
     tables = _tables(m)
-    orientations, sign_rows = _region_data(m, budget)
+    orientations, sign_rows, _ = _region_data(m, budget)
     by_signs = dict(zip(sign_rows, orientations))
     assert len(by_signs) == len(orientations), "sign vectors must be pairwise distinct"
     realized: set[tuple[int, ...]] = set()

@@ -1,20 +1,26 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from golomb.errors import (
+    BudgetExceededError,
     InconsistentValuesError,
     InsufficientPointsError,
     LeadingCoefficientError,
 )
+from golomb.golomb_graph import _multiplicities
 from golomb.quasipolynomial import (
     Quasipolynomial,
+    _line_forms,
+    _weighted_level,
     golomb_quasipolynomial,
     interpolate,
     reciprocity_check_golomb,
 )
 from golomb.rulers import count_golomb_rulers
+
+from compositions import multiplicity_sum
 
 # the m=3 counting quasipolynomial, period 12, constant term first
 G3_CONSTITUENTS = {
@@ -191,3 +197,65 @@ def test_negative_t_is_refused_before_any_work(monkeypatch):
         with pytest.raises(ValueError):
             reciprocity_check_golomb(3, t_values)
     assert main(["reciprocity", "golomb", "--m", "4", "--t", "-1"]) == 1
+
+
+def line_sum(m, t):
+    return _weighted_level(m, t, _line_forms(m), _multiplicities(m))
+
+
+def test_line_sums_match_the_composition_oracle():
+    for m, t_max in [(1, 40), (2, 30), (3, 25), (4, 20)]:
+        lookup = _multiplicities(m)
+        for t in range(t_max + 1):
+            assert line_sum(m, t) == multiplicity_sum(m, t, lookup), (m, t)
+
+
+@settings(max_examples=25)
+@given(
+    m=st.sampled_from([2, 3]),
+    t_values=st.lists(st.integers(min_value=0, max_value=300), min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_reciprocity_rows_match_the_oracle_in_order(m, t_values, data):
+    # repeat one t and shuffle, so duplicated and unsorted levels are covered
+    t_values = data.draw(st.permutations(t_values + t_values[:1]))
+    report = reciprocity_check_golomb(m, t_values)
+    assert report.ok
+    assert [row.t for row in report.rows] == t_values
+    lookup = _multiplicities(m)
+    for row in report.rows:
+        assert row.rhs == multiplicity_sum(m, row.t, lookup)
+
+
+@settings(max_examples=25)
+@given(st.integers(min_value=0, max_value=40))
+def test_line_sum_m4_matches_the_oracle(t):
+    assert line_sum(4, t) == multiplicity_sum(4, t, _multiplicities(4))
+
+
+def test_pinned_multiplicity_sums():
+    # at t = 0 the sum is the number of cells: 114 for m = 4
+    assert line_sum(4, 0) == 114
+    (row,) = reciprocity_check_golomb(3, [2000]).rows
+    assert row.rhs == row.lhs == golomb_quasipolynomial(3).evaluate(-2000) == 2008008
+
+
+def test_reciprocity_budget_is_checked_before_the_sum(monkeypatch, capsys):
+    import golomb.quasipolynomial as quasipolynomial
+    from golomb.cli import main
+
+    # m = 2 walks one line per level, and its census and ruler search fit too
+    assert reciprocity_check_golomb(2, range(100), budget=100).ok
+    with pytest.raises(BudgetExceededError):
+        reciprocity_check_golomb(2, range(100), budget=99)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the quasipolynomial was built although the sum is over budget")
+
+    monkeypatch.setattr(quasipolynomial, "golomb_quasipolynomial", no_work)
+    # m = 3 walks t + 1 lines at level t: 5050 for t = 0..99
+    with pytest.raises(BudgetExceededError, match="5050 lines"):
+        reciprocity_check_golomb(3, range(100), budget=5049)
+    argv = ["reciprocity", "golomb", "--m", "3", "--t-min", "0", "--t-max", "99", "--budget", "5049"]
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""

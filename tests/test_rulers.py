@@ -16,17 +16,9 @@ from golomb.rulers import (
     optimal_length,
 )
 
+from compositions import positive_compositions
+
 gap_vectors = st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=5).map(tuple)
-
-
-def positive_compositions(m, t):
-    """All positive integer vectors of length m summing to t, brute force."""
-    if m == 1:
-        return [(t,)] if t >= 1 else []
-    out = []
-    for first in range(1, t - m + 2):
-        out.extend((first, *rest) for rest in positive_compositions(m - 1, t - first))
-    return out
 
 
 def is_golomb_by_interval_sums(gaps) -> bool:
