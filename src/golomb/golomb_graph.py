@@ -28,14 +28,15 @@ checked). Without the propagation m = 6 (20 vertices, 107498 admissible
 orders) is out of reach; with it the m = 6 census takes well under a minute
 in one process.
 
-All per-m state, the census included once a caller needs it, lives on one
-record in one explicit cache, `_TABLES`.
+All per-m state, the census and the multiplicities looked up so far
+included once a caller needs them, lives on one record in one explicit
+cache, `_TABLES`.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 from golomb.arrangement import golomb_hyperplanes, hyperplane_for_intervals
@@ -120,6 +121,8 @@ class _Tables:
     census: tuple[
         tuple[GolombOrientation, ...], tuple[tuple[int, ...], ...], tuple[int, ...], int
     ] | None = None
+    # point sign vector -> multiplicity, read off the census rows once each
+    memo: dict[tuple[int, ...], int] = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -448,11 +451,12 @@ def multiplicity(z, *, budget: int | None = None) -> int:
 def _multiplicities(m: int, budget: int | None = None):
     """multiplicity for many non-negative gap vectors of length m,
     unchecked: the rows are scanned once per distinct point sign vector,
-    and the census budget is checked once, here. The zero vector lies in
+    whose count is kept on the tables for every later lookup, and the
+    census budget is checked once per call, here. The zero vector lies in
     every closure, so its value is the number of cells."""
     tables = _tables(m)
     _, _, row_plus = _region_data(m, budget)
-    memo: dict[tuple[int, ...], int] = {}
+    memo = tables.memo
 
     def lookup(gaps) -> int:
         point = _point_signs(tables, gaps)

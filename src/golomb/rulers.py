@@ -9,11 +9,16 @@ proper consecutive index intervals of z have different sums.
 
 One depth-first search over the marks serves enumeration and counting.
 It carries the set of marking differences used so far as a bitmask, seen,
-and the marks themselves reversed in a second mask, back. The allowed
-next marks are the window bits outside OR_k (seen << x_k), so the loop
-walks set bits only, and one shift of back yields a new mark's
-differences. At the last mark every allowed length is a ruler, so one
-search counts every length of a range at once. Counting uses gap
+the marks themselves reversed in a second mask, back, and the marks
+that would repeat a difference, forbid = OR_k (seen << x_k). The allowed
+next marks are the window bits outside forbid, so the loop walks set bits
+only; one shift of back yields a new mark's differences, and forbid is
+passed down with one shift of the new seen, exact above the new mark
+(see _search). At the last mark every allowed length is a ruler, so the
+node that places mark m-1 reads its children's windows of last marks
+inline, and counting adds each window, a mask over lengths, to
+bit-sliced counters: one search counts every length of a range at once,
+with no call and no loop per ruler. Counting uses gap
 reversal: for m >= 2 no Golomb ruler has z_1 = z_m (they are the
 differences of two distinct pairs of marks), reversal swaps them, so the
 search keeps only z_m > z_1, prunes every level by that bound on the last
@@ -21,9 +26,11 @@ gap, and doubles the result. Enumeration keeps every ruler, in
 lexicographic order.
 
 A search node is one candidate gap examined: each level adds its window
-width before walking its bits. The node budget caps the total over the
+width before walking its bits, the last mark's level too, although it is
+read inline rather than called. The node budget caps the total over the
 whole search, whether it runs in one process or is split on the first gap
-across jobs > 1 workers.
+across jobs > 1 workers, whose parts are summed in first-gap order so the
+first total over the budget raises.
 """
 
 from __future__ import annotations
@@ -134,18 +141,29 @@ def _run_search(m: int, t_min: int, t_max: int, node_budget: int, jobs: int, col
     """The rulers of length t_max in lexicographic order when collecting,
     else the counts by length; jobs > 1 splits the search on the first gap
     and joins the parts in first-gap order, or sums their counts. The
-    budget caps the nodes summed over all parts, as it caps one search."""
+    budget caps the nodes summed over all parts, as it caps one search:
+    the parts are taken in first-gap order, and the first running total
+    above it raises and ends the pool."""
     firsts = range(1, _first_gap_bound(m, t_max, not collect) + 1)
     if jobs > 1 and m >= 2 and len(firsts) >= 2:
         tasks = [(m, t_min, t_max, node_budget, first, collect) for first in firsts]
+        parts = []
+        used = 0
         with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            parts = pool.starmap(_search, tasks)
-        if sum(nodes for _, nodes in parts) > node_budget:
-            raise BudgetExceededError(node_budget, "golomb ruler search")
+            for part, nodes in pool.imap(_search_part, tasks):
+                used += nodes
+                if used > node_budget:
+                    raise BudgetExceededError(node_budget, "golomb ruler search")
+                parts.append(part)
         if collect:
-            return [ruler for chunk, _ in parts for ruler in chunk]
-        return [sum(column) for column in zip(*(counts for counts, _ in parts))]
+            return [ruler for chunk in parts for ruler in chunk]
+        return [sum(column) for column in zip(*parts)]
     return _search(m, t_min, t_max, node_budget, None, collect)[0]
+
+
+def _search_part(task):
+    """_search on one task tuple, the one argument Pool.imap passes."""
+    return _search(*task)
 
 
 def _first_gap_bound(m: int, t_max: int, halve: bool) -> int:
@@ -160,65 +178,108 @@ def _search(m: int, t_min: int, t_max: int, node_budget: int, first_gap: int | N
     otherwise the list of counts by length 0 .. t_max.
 
     seen has bit d for every difference d of the marks placed so far, back
-    has bit t_max - x for every placed mark x. A mark y is allowed next
+    has bit t_max - x for every placed mark x, and a mark y is allowed next
     exactly when no y - x is in seen, that is when y lies outside
-    OR_x (seen << x); its new differences are (back << y) >> t_max.
+    forbid = OR_x (seen << x). A child that places y gets
+    seen' = seen | ((back << y) >> t_max) and forbid | (seen' << y). That
+    is exact above y, the only bits later windows read: the new shifted
+    differences y + x_j - x_i are y itself (i = j), below y (x_j < x_i),
+    or y + d with d = x_j - x_i in seen, which seen' << y covers.
+
+    The node that places mark m-1 reads each child's window of last marks
+    inline instead of recursing. Counting adds that window, a mask over
+    lengths, to bit-sliced counters: bit y of planes[i] is bit i of the
+    count for length y, and the mask ripples its carries up the planes.
+    The nodes are those of a search that recursed to the last mark: each
+    examined window, that of the last mark too, adds its width and is
+    checked against the budget.
     """
     halve = not collect and m >= 2
-    counts = [0] * (t_max + 1)
+    if m == 1:
+        # the one gap is the length: no inner mark
+        lo = max(1, t_min)
+        nodes = max(0, t_max - lo + 1)
+        if nodes > node_budget:
+            raise BudgetExceededError(node_budget, "golomb ruler search")
+        if collect:
+            return [(y,) for y in range(lo, t_max + 1)], nodes
+        return [int(y >= lo) for y in range(t_max + 1)], nodes
+    top = 1 << (t_max + 1)
+    bound = _first_gap_bound(m, t_max, halve)
+    # every count is at most the nodes spent, so at most the budget, and
+    # fits in its bit length of planes
+    planes = [0] * node_budget.bit_length()
     out: list[Gaps] = []
-    marks = [0]
     nodes = 0
 
-    def rec(seen: int, back: int, z1: int) -> None:
+    def rec(k: int, x: int, seen: int, back: int, forbid: int, z1: int, prefix: Gaps) -> None:
+        # places mark k + 1 after the marks 0 .. x, whose gaps are prefix
         nonlocal nodes
-        k = len(marks) - 1
-        x = marks[-1]
-        # with halving the last gap must exceed the first gap z1
-        lead = z1 if halve else 0
-        forbid = 0
-        for xj in marks:
-            forbid |= seen << xj
-        if k == m - 1:
-            lo = max(x + 1 + lead, t_min)
-            hi = t_max
-        elif k == 0:
-            lo, hi = 1, _first_gap_bound(m, t_max, halve)
-            if first_gap is not None:
-                lo = max(lo, first_gap)
-                hi = min(hi, first_gap)
-        else:
+        if k:
+            # room for the later marks; with halving the last gap must
+            # exceed the first gap z1
             lo = x + 1
-            hi = t_max - (m - k - 1) - lead
+            hi = t_max - (m - k - 1) - (z1 if halve else 0)
+        elif first_gap is None:
+            lo, hi = 1, bound
+        else:
+            lo, hi = max(1, first_gap), min(bound, first_gap)
         if hi < lo:
             return
         nodes += hi - lo + 1
         if nodes > node_budget:
             raise BudgetExceededError(node_budget, "golomb ruler search")
         free = ((1 << (hi + 1)) - (1 << lo)) & ~forbid
-        if k == m - 1:
+        if k < m - 2:
             while free:
                 low = free & -free
                 free ^= low
                 y = low.bit_length() - 1
-                if collect:
-                    out.append((*(b - a for a, b in zip(marks, marks[1:])), y - x))
-                else:
-                    counts[y] += 1
+                s = seen | ((back << y) >> t_max)
+                rec(k + 1, y, s, back | (1 << (t_max - y)), forbid | (s << y),
+                    z1 if k else y, prefix + (y - x,) if collect else prefix)
             return
         while free:
             low = free & -free
             free ^= low
             y = low.bit_length() - 1
-            marks.append(y)
-            rec(seen | ((back << y) >> t_max), back | (1 << (t_max - y)), z1 if k else y)
-            marks.pop()
+            # the last mark's window; at k = 0 (m = 2) y is the first gap
+            lo = y + 1
+            if halve:
+                lo += z1 if k else y
+            if lo < t_min:
+                lo = t_min
+            if lo > t_max:
+                continue
+            nodes += t_max - lo + 1
+            if nodes > node_budget:
+                raise BudgetExceededError(node_budget, "golomb ruler search")
+            s = seen | ((back << y) >> t_max)
+            last = (top - (1 << lo)) & ~(forbid | (s << y))
+            if collect:
+                gaps = prefix + (y - x,)
+                while last:
+                    low = last & -last
+                    last ^= low
+                    out.append((*gaps, low.bit_length() - 1 - y))
+                continue
+            i = 0
+            while last:
+                p = planes[i]
+                planes[i] = p ^ last
+                last &= p
+                i += 1
 
-    rec(0, 1 << t_max, 0)
+    rec(0, 0, 0, 1 << t_max, 0, 0, ())
     if collect:
         return out, nodes
-    if halve:
-        counts = [2 * c for c in counts]
+    counts = [0] * (t_max + 1)
+    for i, p in enumerate(planes):
+        weight = (2 if halve else 1) << i
+        while p:
+            low = p & -p
+            p ^= low
+            counts[low.bit_length() - 1] += weight
     return counts, nodes
 
 

@@ -7,7 +7,10 @@ enumeration moved to integer arithmetic; the `regions --m 5` rows and the
 `--t-max 30` reciprocity rows before the per-m tables of the interval
 graph were rebuilt; the last three rows, the benchmark's exact
 reciprocity commands, before the reciprocity sum moved from compositions
-to lines); any change to a single byte of any format fails here.
+to lines; the three `golomb-count` rows at the benchmark's sizes before the
+ruler search passed its forbidden-mark mask down and counted last marks
+with bit-sliced counters); any change to a single byte of any format fails
+here.
 """
 
 import hashlib
@@ -50,6 +53,9 @@ reciprocity golomb --m 3 --t-min 0 --t-max 30 --format json  b02e2ca00ee690d5f6a
 reciprocity golomb --m 2 --t-min 0 --t-max 100 --format json  d9ed68829f5d4dc5b0918d33a1c90d1b75e57548420c60e5083a664cf505329c 0
 reciprocity golomb --m 3 --t-min 0 --t-max 70 --format json  41ad68900459b785d48d10af00ff7511d34b78f6f36794c0c411b7d555c6bc80 0
 reciprocity golomb --m 3 --t 2000 --format json  f0bddf440b74b6625440696cd1d4f485b5a7ad845e176bd11976accb4b84ec50 0
+golomb-count --m 3 --t-min 1 --t-max 150 --format json  b44cf3b056ca830560c8d6bda6ecdef4d23c3cc4278e1562b829893b176732ed 0
+golomb-count --m 4 --t-min 1 --t-max 60 --format json  cb9bc407ac83e72964deedc42437876386e498d2951f8dbb15713e5751fcc5bd 0
+golomb-count --m 5 --t-min 1 --t-max 45 --format json  0404bc9972cc4fc340bd5ffbd8bcc5247b61ffa42ba7ae3182ddab65c4f213dd 0
 """
 CASES = [line.rsplit(None, 2) for line in GOLDEN.strip().splitlines()]
 

@@ -249,6 +249,27 @@ def test_cached_census_honors_a_later_budget(monkeypatch):
             call()
 
 
+def test_multiplicity_scans_the_census_rows_once_per_sign_vector(monkeypatch):
+    tables = _tables(4)
+    _, _, row_plus = _region_data(4)
+    scans = []
+
+    class CountedRows(tuple):
+        def __iter__(self):
+            scans.append(1)
+            return super().__iter__()
+
+    monkeypatch.setattr(tables, "memo", {})
+    monkeypatch.setattr(tables, "census", (*tables.census[:2], CountedRows(row_plus), tables.census[3]))
+    # a gap vector and its double lie on the same side of every hyperplane
+    assert multiplicity((1, 2, 3, 5)) == 4
+    assert multiplicity((2, 4, 6, 10)) == 4
+    assert len(scans) == 1
+    # the memo answers, but every call still checks its budget
+    with pytest.raises(BudgetExceededError):
+        multiplicity((2, 4, 6, 10), budget=10)
+
+
 def test_parallel_census_fails_before_the_simplex(monkeypatch):
     import golomb.golomb_graph as golomb_graph
 

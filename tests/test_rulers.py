@@ -3,8 +3,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+import golomb.rulers as rulers
 from golomb.errors import BudgetExceededError, CeilingExceededError
 from golomb.rulers import (
+    _first_gap_bound,
+    _search,
     complement,
     count_golomb_rulers,
     dpcs_pairs,
@@ -40,6 +43,68 @@ def is_golomb_by_interval_sums(gaps) -> bool:
         if prefix[b] - prefix[a - 1] == prefix[d] - prefix[c - 1]:
             return False
     return True
+
+
+def per_bit_search(m, t_min, t_max, node_budget, first_gap, collect):
+    """The ruler search as it stood before the forbidden-mark mask was
+    passed down: every node rebuilds OR_x (seen << x) from all placed marks,
+    and every last mark is one call that walks its window bit by bit. Same
+    arguments, results and node totals as `rulers._search`."""
+    halve = not collect and m >= 2
+    counts = [0] * (t_max + 1)
+    out = []
+    marks = [0]
+    nodes = 0
+
+    def rec(seen, back, z1):
+        nonlocal nodes
+        k = len(marks) - 1
+        x = marks[-1]
+        lead = z1 if halve else 0
+        forbid = 0
+        for xj in marks:
+            forbid |= seen << xj
+        if k == m - 1:
+            lo = max(x + 1 + lead, t_min)
+            hi = t_max
+        elif k == 0:
+            lo, hi = 1, _first_gap_bound(m, t_max, halve)
+            if first_gap is not None:
+                lo = max(lo, first_gap)
+                hi = min(hi, first_gap)
+        else:
+            lo = x + 1
+            hi = t_max - (m - k - 1) - lead
+        if hi < lo:
+            return
+        nodes += hi - lo + 1
+        if nodes > node_budget:
+            raise BudgetExceededError(node_budget, "golomb ruler search")
+        free = ((1 << (hi + 1)) - (1 << lo)) & ~forbid
+        if k == m - 1:
+            while free:
+                low = free & -free
+                free ^= low
+                y = low.bit_length() - 1
+                if collect:
+                    out.append((*(b - a for a, b in zip(marks, marks[1:])), y - x))
+                else:
+                    counts[y] += 1
+            return
+        while free:
+            low = free & -free
+            free ^= low
+            y = low.bit_length() - 1
+            marks.append(y)
+            rec(seen | ((back << y) >> t_max), back | (1 << (t_max - y)), z1 if k else y)
+            marks.pop()
+
+    rec(0, 1 << t_max, 0)
+    if collect:
+        return out, nodes
+    if halve:
+        counts = [2 * c for c in counts]
+    return counts, nodes
 
 
 def test_markings_roundtrip():
@@ -212,3 +277,59 @@ def test_input_validation():
         golomb_counts(2, -1, 5)
     with pytest.raises(ValueError):
         golomb_counts(2, 6, 5)
+
+
+UNLIMITED = 10**12
+
+
+def test_search_matches_the_per_bit_oracle():
+    # the benchmark's sizes: g_3 to t = 150, g_4 to 60, g_5 to 45
+    for m, t_max in [(1, 150), (2, 150), (3, 150), (4, 60), (5, 45), (6, 34)]:
+        for t_min in (0, 1, t_max // 2, t_max):
+            args = (m, t_min, t_max, UNLIMITED, None, False)
+            assert _search(*args) == per_bit_search(*args)
+        for first in range(1, _first_gap_bound(m, t_max, m >= 2) + 1):
+            args = (m, 1, t_max, UNLIMITED, first, False)
+            assert _search(*args) == per_bit_search(*args)
+
+
+def test_enumeration_matches_the_per_bit_oracle():
+    for m, lengths in [(1, [1, 7]), (2, range(1, 31)), (3, range(1, 41)), (4, range(9, 31)),
+                       (5, range(15, 31)), (6, range(23, 31))]:
+        for t in lengths:
+            args = (m, t, t, UNLIMITED, None, True)
+            expected = per_bit_search(*args)
+            assert _search(*args) == expected
+            assert enumerate_golomb_rulers(m, t) == expected[0]
+            for first in range(1, t - m + 2):
+                args = (m, t, t, UNLIMITED, first, True)
+                assert _search(*args) == per_bit_search(*args)
+
+
+@given(st.integers(1, 5), st.integers(0, 36), st.integers(0, 36))
+def test_search_matches_the_per_bit_oracle_random(m, a, b):
+    t_min, t_max = min(a, b), max(a, b)
+    for collect in (False, True):
+        args = (m, t_max if collect else t_min, t_max, UNLIMITED, None, collect)
+        assert _search(*args) == per_bit_search(*args)
+
+
+@pytest.mark.parametrize("collect", [False, True])
+def test_parallel_search_stops_at_the_first_total_over_budget(monkeypatch, collect):
+    # the parts arrive in first-gap order: once the first two exceed the
+    # budget, no later part may decide the outcome
+    search = rulers._search
+    m, t = 4, 30
+    first, second = (search(m, t, t, UNLIMITED, g, collect)[1] for g in (1, 2))
+    budget = first + second - 1
+    assert budget >= max(first, second)
+
+    def later_parts_fail(m, t_min, t_max, node_budget, first_gap, collect):
+        if first_gap > 2:
+            raise AssertionError("a part after the budget ran out decided the outcome")
+        return search(m, t_min, t_max, node_budget, first_gap, collect)
+
+    # the forked workers inherit the patch
+    monkeypatch.setattr(rulers, "_search", later_parts_fail)
+    with pytest.raises(BudgetExceededError):
+        rulers._run_search(m, t, t, budget, 2, collect)
