@@ -17,6 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
 
+from golomb.config import resolve_budget
 from golomb.errors import BudgetExceededError
 from golomb.rulers import dpcs_pairs
 
@@ -113,7 +114,8 @@ def iop_vertices(m: int, *, budget: int | None = None) -> tuple[Point, ...]:
     The subsets are searched depth first in index order, each node carrying
     the integer exterior product of its rows; a zero product is a dependent
     prefix and is pruned with every extension. The budget caps the number
-    of subsets, C(#constraints, m-1), and is checked before any work.
+    of subsets, C(#constraints, m-1), and is checked before any work; no
+    budget means that of resolve_budget, as for every other search.
     """
     if m < 2:
         return ()
@@ -124,9 +126,10 @@ def iop_vertices(m: int, *, budget: int | None = None) -> tuple[Point, ...]:
         constraints.append(tuple(facet))
     n, depth = len(constraints), m - 1
     subsets = comb(n, depth)
-    if budget is not None and subsets > budget:
+    limit = resolve_budget(budget)
+    if subsets > limit:
         raise BudgetExceededError(
-            budget, f"iop_vertices(m={m}): C({n}, {depth}) = {subsets} constraint subsets"
+            limit, f"iop_vertices(m={m}): C({n}, {depth}) = {subsets} constraint subsets"
         )
     levels = _wedge_terms(m)
     found: set[tuple[int, ...]] = set()

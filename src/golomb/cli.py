@@ -125,6 +125,8 @@ def _cmd_golomb_count(args):
     if args.check_table1:
         if args.m not in (None, 3):
             raise _UsageError("--check-table1 applies to m=3")
+        if (args.t, args.t_min, args.t_max) != (None, None, None):
+            raise _UsageError("give either --check-table1 or --t/--t-min/--t-max, not both")
         m = 3
         ts = sorted(KNOWN_COUNTS_M3)
     else:

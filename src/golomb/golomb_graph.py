@@ -28,6 +28,10 @@ checked). Without the propagation m = 6 (20 vertices, 107498 admissible
 orders) is out of reach; with it the m = 6 census takes well under a minute
 in one process.
 
+The search runs in parts through config.run_parts, one per first placed
+interval, each counting that placement as its own node; the survivors
+reach the simplex only once the nodes of all parts have passed the budget.
+
 All per-m state, the census and the multiplicities looked up so far
 included once a caller needs them, lives on one record in one explicit
 cache, `_TABLES`.
@@ -35,12 +39,12 @@ cache, `_TABLES`.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate
 
 from golomb.arrangement import golomb_hyperplanes, hyperplane_for_intervals
-from golomb.config import resolve_budget
+from golomb.config import resolve_budget, run_parts
 from golomb.errors import BudgetExceededError
 from golomb.mixed_graphs import MixedGraph
 from golomb.simplex import strict_cone_feasibility
@@ -193,40 +197,40 @@ def _tables(m: int) -> _Tables:
     return tables
 
 
-def _enumerate_orders(
-    m: int, limit: int, prefix: tuple[int, ...]
-) -> tuple[list[tuple[int, ...]], int]:
-    """Depth-first enumeration of admissible total orders as tuples of vertex
-    indices, starting from a fixed placement prefix (empty for the full
-    search), together with the number of search nodes it visited.
+def _enumerate_orders(m: int, limit: int, first: int) -> tuple[list[tuple[int, ...]], int]:
+    """Depth-first enumeration of the admissible total orders that place
+    vertex `first` first, as tuples of vertex indices, together with the
+    number of search nodes it visited, that first placement included.
     Deterministic: candidates are tried in index order."""
     tables = _tables(m)
-    n = tables.n
     pair_info = tables.pair_info
     class_edges = tables.class_edges
     sum_rules = tables.sum_rules
     pred = list(tables.incl_pred)
     sigma = [0] * len(tables.hyperplanes)
-    full = (1 << n) - 1
-    placed = 0
+    full = (1 << tables.n) - 1
     order: list[int] = []
     out: list[tuple[int, ...]] = []
     nodes = 0
 
-    def try_place(v: int):
-        """Place v next if every constraint allows it; returns an undo record
-        (sign decisions applied and overwritten predecessor masks) or None.
+    def visit(v: int, placed: int) -> None:
+        """One node: place v after the vertices in `placed` if every
+        constraint allows it, and search on.
 
         Ordering v before each unplaced u demands one sign per coupling
         class; every applied sign then propagates through the additive rules
-        until a fixed point or a contradiction."""
-        nonlocal placed
-        unplaced = full & ~placed
-        if pred[v] & unplaced & ~(1 << v):
-            return None
+        until a fixed point or a contradiction. The signs applied and the
+        predecessor masks they overwrote are undone on the way back."""
+        nonlocal nodes
+        nodes += 1
+        if nodes > limit:
+            raise BudgetExceededError(limit, "admissible orientation search")
+        rest = full & ~placed & ~(1 << v)
+        if pred[v] & rest:
+            return
         demanded: dict[int, int] = {}
         row = pair_info[v]
-        mask = unplaced & ~(1 << v)
+        mask = rest
         while mask:
             low = mask & -mask
             mask ^= low
@@ -240,20 +244,18 @@ def _enumerate_orders(
                 if prev is None:
                     demanded[k] = pol
                 elif prev != pol:
-                    return None
+                    return
             elif cur != pol:
-                return None
+                return
         trail: list[tuple[int, int]] = []
         applied: list[int] = []
         queue = list(demanded.items())
-        ok = True
         while queue:
             k, s = queue.pop()
             cur = sigma[k]
             if cur == s:
                 continue
             if cur == -s:
-                ok = False
                 break
             sigma[k] = s
             applied.append(k)
@@ -265,50 +267,22 @@ def _enumerate_orders(
             for s_need, k2, s2, k3, s3 in sum_rules[k]:
                 if s == s_need and sigma[k2] == s2:
                     queue.append((k3, s3))
-        if not ok:
-            for dst, old in reversed(trail):
-                pred[dst] = old
-            for k in applied:
-                sigma[k] = 0
-            return None
-        placed |= 1 << v
-        order.append(v)
-        return trail, tuple(applied)
-
-    def unplace(v: int, record) -> None:
-        nonlocal placed
-        trail, keys = record
-        order.pop()
-        placed &= ~(1 << v)
+        else:
+            # no contradiction: v goes next
+            order.append(v)
+            if not rest:
+                out.append(tuple(order))
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                visit(low.bit_length() - 1, placed | 1 << v)
+            order.pop()
         for dst, old in reversed(trail):
             pred[dst] = old
-        for k in keys:
+        for k in applied:
             sigma[k] = 0
 
-    for v in prefix:
-        if try_place(v) is None:
-            return [], 0
-
-    def rec() -> None:
-        nonlocal nodes
-        if placed == full:
-            out.append(tuple(order))
-            return
-        mask = full & ~placed
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            v = low.bit_length() - 1
-            nodes += 1
-            if nodes > limit:
-                raise BudgetExceededError(limit, "admissible orientation search")
-            record = try_place(v)
-            if record is None:
-                continue
-            rec()
-            unplace(v, record)
-
-    rec()
+    visit(first, 0)
     return out, nodes
 
 
@@ -331,13 +305,14 @@ def _chain_rows(order: tuple[Interval, ...], m: int) -> list[tuple[int, ...]]:
     return rows
 
 
-def _realizable_orders(m: int, orders: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The orders, as vertex index tuples, that some gap vector realizes."""
+def _realizable_orders(m: int, budget: int, orders: list) -> tuple[list, int]:
+    """The orders, as vertex index tuples, that some gap vector realizes,
+    and the search nodes spent, none: a census part for run_parts."""
     intervals = _tables(m).intervals
     return [
         o for o in orders
         if strict_cone_feasibility(_chain_rows(tuple(intervals[v] for v in o), m))
-    ]
+    ], 0
 
 
 def enumerate_constrained_orientations(
@@ -348,11 +323,9 @@ def enumerate_constrained_orientations(
     number equals the number of cells of the subdivided simplex and so the
     number of combinatorially different Golomb rulers.
 
-    jobs > 1 partitions on the first placement and concatenates in index
-    order, so the output is identical for any degree of parallelism; the
-    budget caps the search nodes summed over all partitions, as it caps the
-    serial search. m above DEFAULT_M_BOUND is refused: the census would be
-    astronomically large.
+    The parts, one per first placement, are joined in index order, so the
+    output and the nodes the budget caps are the same for any jobs. m above
+    DEFAULT_M_BOUND is refused: the census would be astronomically large.
     """
     return _census(m, resolve_budget(budget), jobs)[0]
 
@@ -360,27 +333,18 @@ def enumerate_constrained_orientations(
 def _census(m: int, limit: int, jobs: int = 1) -> tuple[tuple[GolombOrientation, ...], int]:
     """enumerate_constrained_orientations, plus the search nodes it used,
     the same for any jobs. A budget below that number makes the census
-    raise."""
+    raise, before any survivor reaches the simplex."""
     if m > DEFAULT_M_BOUND:
         raise ValueError(f"m={m} is above the enumeration bound {DEFAULT_M_BOUND}")
     tables = _tables(m)
     if tables.n == 0:
         return (GolombOrientation(m, ()),), 0
-    if jobs > 1:
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            parts = pool.starmap(_enumerate_orders, [(m, limit, (v,)) for v in range(tables.n)])
-            # the serial search spends one node on each first placement; the
-            # total is checked before any survivor reaches the simplex
-            nodes = tables.n + sum(used for _, used in parts)
-            if nodes > limit:
-                raise BudgetExceededError(limit, "admissible orientation search")
-            chunks = pool.starmap(_realizable_orders, [(m, found) for found, _ in parts])
-        orders = [o for chunk in chunks for o in chunk]
-    else:
-        orders, nodes = _enumerate_orders(m, limit, ())
-        orders = _realizable_orders(m, orders)
+    where = "admissible orientation search"
+    found, nodes = run_parts(partial(_enumerate_orders, m), range(tables.n), limit, jobs, where)
+    chunks, _ = run_parts(partial(_realizable_orders, m), found, limit, jobs, where)
     return tuple(
-        GolombOrientation(m, tuple(tables.intervals[v] for v in o)) for o in orders
+        GolombOrientation(m, tuple(tables.intervals[v] for v in o))
+        for chunk in chunks for o in chunk
     ), nodes
 
 

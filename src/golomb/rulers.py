@@ -18,7 +18,8 @@ passed down with one shift of the new seen, exact above the new mark
 node that places mark m-1 reads its children's windows of last marks
 inline, and counting adds each window, a mask over lengths, to
 bit-sliced counters: one search counts every length of a range at once,
-with no call and no loop per ruler. Counting uses gap
+with no call and no loop per ruler, and the parts' counters are added in
+the same form and read once. Counting uses gap
 reversal: for m >= 2 no Golomb ruler has z_1 = z_m (they are the
 differences of two distinct pairs of marks), reversal swaps them, so the
 search keeps only z_m > z_1, prunes every level by that bound on the last
@@ -27,18 +28,18 @@ lexicographic order.
 
 A search node is one candidate gap examined: each level adds its window
 width before walking its bits, the last mark's level too, although it is
-read inline rather than called. The node budget caps the total over the
-whole search, whether it runs in one process or is split on the first gap
-across jobs > 1 workers, whose parts are summed in first-gap order so the
-first total over the budget raises.
+read inline rather than called. The search runs in parts, one per first
+gap, each counting its own first gap as one node, so the parts add up to
+the nodes of one whole search; config.run_parts runs them in first-gap
+order, and the first running total over the node budget raises.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+from functools import partial
 from typing import Iterator
 
-from golomb.config import resolve_budget
+from golomb.config import resolve_budget, run_parts
 from golomb.errors import BudgetExceededError, CeilingExceededError
 
 Gaps = tuple[int, ...]
@@ -98,12 +99,8 @@ def is_golomb(gaps) -> bool:
 
 def enumerate_golomb_rulers(m: int, t: int, *, budget: int | None = None, jobs: int = 1) -> list[Gaps]:
     """All Golomb gap vectors with m positive entries summing to t, in
-    lexicographic order.
-
-    jobs > 1 partitions the search on the first gap and concatenates the
-    partial results in first-gap order, so the output is identical for any
-    degree of parallelism.
-    """
+    lexicographic order: the parts of the search, one per first gap, are
+    joined in first-gap order, so the output is the same for any jobs."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if t < 1:
@@ -139,31 +136,34 @@ def count_golomb_rulers(m: int, t: int, *, budget: int | None = None, jobs: int 
 
 def _run_search(m: int, t_min: int, t_max: int, node_budget: int, jobs: int, collect: bool):
     """The rulers of length t_max in lexicographic order when collecting,
-    else the counts by length; jobs > 1 splits the search on the first gap
-    and joins the parts in first-gap order, or sums their counts. The
-    budget caps the nodes summed over all parts, as it caps one search:
-    the parts are taken in first-gap order, and the first running total
-    above it raises and ends the pool."""
+    else the counts by length 0 .. t_max: one search per first gap, run by
+    config.run_parts, joined in first-gap order or added as bit-sliced
+    counters and read once."""
     firsts = range(1, _first_gap_bound(m, t_max, not collect) + 1)
-    if jobs > 1 and m >= 2 and len(firsts) >= 2:
-        tasks = [(m, t_min, t_max, node_budget, first, collect) for first in firsts]
-        parts = []
-        used = 0
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            for part, nodes in pool.imap(_search_part, tasks):
-                used += nodes
-                if used > node_budget:
-                    raise BudgetExceededError(node_budget, "golomb ruler search")
-                parts.append(part)
-        if collect:
-            return [ruler for chunk in parts for ruler in chunk]
-        return [sum(column) for column in zip(*parts)]
-    return _search(m, t_min, t_max, node_budget, None, collect)[0]
-
-
-def _search_part(task):
-    """_search on one task tuple, the one argument Pool.imap passes."""
-    return _search(*task)
+    parts, _ = run_parts(
+        partial(_search, m, t_min, t_max, collect=collect), firsts, node_budget, jobs,
+        "golomb ruler search",
+    )
+    if collect:
+        return [ruler for part in parts for ruler in part]
+    # each part's counters ripple into the total from their own plane, and
+    # the total, at most the nodes and so the budget, is read once
+    total = [0] * node_budget.bit_length()
+    for planes in parts:
+        for i, mask in enumerate(planes):
+            while mask:
+                p = total[i]
+                total[i] = p ^ mask
+                mask &= p
+                i += 1
+    counts = [0] * (t_max + 1)
+    for i, p in enumerate(total):
+        while p:
+            low = p & -p
+            p ^= low
+            # with halving each counted ruler stands for two
+            counts[low.bit_length() - 1] += (2 if m >= 2 else 1) << i
+    return counts
 
 
 def _first_gap_bound(m: int, t_max: int, halve: bool) -> int:
@@ -172,10 +172,12 @@ def _first_gap_bound(m: int, t_max: int, halve: bool) -> int:
     return (t_max - m + 1) // 2 if halve and m >= 2 else t_max - m + 1
 
 
-def _search(m: int, t_min: int, t_max: int, node_budget: int, first_gap: int | None, collect: bool):
-    """One depth-first search over marks and the nodes it examined: the
-    rulers of length t_max in lexicographic order when collect is true,
-    otherwise the list of counts by length 0 .. t_max.
+def _search(m: int, t_min: int, t_max: int, node_budget: int, first_gap: int, collect: bool):
+    """One depth-first search over the marks after a first gap of at most
+    _first_gap_bound(m, t_max, not collect), and the nodes it examined, that
+    gap included: the rulers of length t_max in lexicographic order when
+    collect is true, otherwise the bit-sliced counters by length 0 .. t_max
+    of the rulers it keeps (with z_m > z_1 for m >= 2).
 
     seen has bit d for every difference d of the marks placed so far, back
     has bit t_max - x for every placed mark x, and a mark y is allowed next
@@ -196,16 +198,14 @@ def _search(m: int, t_min: int, t_max: int, node_budget: int, first_gap: int | N
     """
     halve = not collect and m >= 2
     if m == 1:
-        # the one gap is the length: no inner mark
-        lo = max(1, t_min)
-        nodes = max(0, t_max - lo + 1)
+        # the one gap is the length, a node when it is one asked for
+        nodes = int(first_gap >= t_min)
         if nodes > node_budget:
             raise BudgetExceededError(node_budget, "golomb ruler search")
         if collect:
-            return [(y,) for y in range(lo, t_max + 1)], nodes
-        return [int(y >= lo) for y in range(t_max + 1)], nodes
+            return [(first_gap,)] * nodes, nodes
+        return [nodes << first_gap], nodes
     top = 1 << (t_max + 1)
-    bound = _first_gap_bound(m, t_max, halve)
     # every count is at most the nodes spent, so at most the budget, and
     # fits in its bit length of planes
     planes = [0] * node_budget.bit_length()
@@ -220,10 +220,8 @@ def _search(m: int, t_min: int, t_max: int, node_budget: int, first_gap: int | N
             # exceed the first gap z1
             lo = x + 1
             hi = t_max - (m - k - 1) - (z1 if halve else 0)
-        elif first_gap is None:
-            lo, hi = 1, bound
         else:
-            lo, hi = max(1, first_gap), min(bound, first_gap)
+            lo = hi = first_gap
         if hi < lo:
             return
         nodes += hi - lo + 1
@@ -237,16 +235,16 @@ def _search(m: int, t_min: int, t_max: int, node_budget: int, first_gap: int | N
                 y = low.bit_length() - 1
                 s = seen | ((back << y) >> t_max)
                 rec(k + 1, y, s, back | (1 << (t_max - y)), forbid | (s << y),
-                    z1 if k else y, prefix + (y - x,) if collect else prefix)
+                    z1, prefix + (y - x,) if collect else prefix)
             return
         while free:
             low = free & -free
             free ^= low
             y = low.bit_length() - 1
-            # the last mark's window; at k = 0 (m = 2) y is the first gap
+            # the last mark's window
             lo = y + 1
             if halve:
-                lo += z1 if k else y
+                lo += z1
             if lo < t_min:
                 lo = t_min
             if lo > t_max:
@@ -270,17 +268,8 @@ def _search(m: int, t_min: int, t_max: int, node_budget: int, first_gap: int | N
                 last &= p
                 i += 1
 
-    rec(0, 0, 0, 1 << t_max, 0, 0, ())
-    if collect:
-        return out, nodes
-    counts = [0] * (t_max + 1)
-    for i, p in enumerate(planes):
-        weight = (2 if halve else 1) << i
-        while p:
-            low = p & -p
-            p ^= low
-            counts[low.bit_length() - 1] += weight
-    return counts, nodes
+    rec(0, 0, 0, 1 << t_max, 0, first_gap, ())
+    return out if collect else planes, nodes
 
 
 def optimal_length(m: int, *, ceiling: int | None = None, budget: int | None = None) -> int:

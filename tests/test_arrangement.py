@@ -136,6 +136,26 @@ def test_vertex_budget_counts_constraint_subsets():
             call(4, budget=968)
 
 
+def test_vertex_budget_defaults_to_the_resolved_budget(monkeypatch):
+    import golomb.arrangement as arrangement
+
+    def no_search(m):
+        raise AssertionError("the subset search started although it was over budget")
+
+    # m = 7: C(133, 6) = 6 856 577 728 subsets, above the default 10^9
+    monkeypatch.delenv("GOLOMB_BUDGET", raising=False)
+    monkeypatch.setattr(arrangement, "_wedge_terms", no_search)
+    for call in (iop_vertices, period_bound):
+        with pytest.raises(BudgetExceededError, match=r"C\(133, 6\) = 6856577728"):
+            call(7)
+    monkeypatch.undo()
+    monkeypatch.setenv("GOLOMB_BUDGET", "968")
+    with pytest.raises(BudgetExceededError, match=r"C\(19, 3\) = 969"):
+        iop_vertices(4)
+    monkeypatch.setenv("GOLOMB_BUDGET", "969")
+    assert len(iop_vertices(4)) == 42
+
+
 def test_canonical_normal():
     assert canonical_normal((0, -2, 2)) == (0, 1, -1)
     assert canonical_normal((3, -3, 0)) == (1, -1, 0)

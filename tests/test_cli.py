@@ -52,6 +52,15 @@ def test_check_table1_wrong_m_is_usage_error(capsys):
     assert "m=3" in err
 
 
+@pytest.mark.parametrize(
+    "lengths", [("--t", "5"), ("--t-min", "6"), ("--t-max", "35"), ("--t-min", "6", "--t-max", "35")]
+)
+def test_check_table1_with_lengths_is_usage_error(capsys, lengths):
+    code, out, err = run_cli(capsys, "golomb-count", "--check-table1", *lengths)
+    assert code == 1 and out == ""
+    assert "not both" in err
+
+
 def test_json_output_reserializes_byte_for_byte(capsys):
     for argv in (
         ["golomb-count", "--m", "3", "--t-min", "6", "--t-max", "9", "--format", "json"],
@@ -144,13 +153,14 @@ def test_one_ruler_search_per_command(capsys, monkeypatch, argv):
     from golomb import rulers
 
     calls = []
-    original = rulers._search
+    original = rulers.run_parts
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(rulers, "_search", counted)
+    # every ruler search runs its first-gap parts through this one driver
+    monkeypatch.setattr(rulers, "run_parts", counted)
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0 and len(calls) == 1
 

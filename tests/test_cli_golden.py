@@ -9,8 +9,9 @@ graph were rebuilt; the last three rows, the benchmark's exact
 reciprocity commands, before the reciprocity sum moved from compositions
 to lines; the three `golomb-count` rows at the benchmark's sizes before the
 ruler search passed its forbidden-mark mask down and counted last marks
-with bit-sliced counters); any change to a single byte of any format fails
-here.
+with bit-sliced counters; the two `--jobs 2` rows, whose digests equal
+those of the serial rows above, before both split searches moved onto one
+driver); any change to a single byte of any format fails here.
 """
 
 import hashlib
@@ -56,6 +57,8 @@ reciprocity golomb --m 3 --t 2000 --format json  f0bddf440b74b6625440696cd1d4f48
 golomb-count --m 3 --t-min 1 --t-max 150 --format json  b44cf3b056ca830560c8d6bda6ecdef4d23c3cc4278e1562b829893b176732ed 0
 golomb-count --m 4 --t-min 1 --t-max 60 --format json  cb9bc407ac83e72964deedc42437876386e498d2951f8dbb15713e5751fcc5bd 0
 golomb-count --m 5 --t-min 1 --t-max 45 --format json  0404bc9972cc4fc340bd5ffbd8bcc5247b61ffa42ba7ae3182ddab65c4f213dd 0
+golomb-count --m 4 --t-min 1 --t-max 60 --jobs 2 --format json  cb9bc407ac83e72964deedc42437876386e498d2951f8dbb15713e5751fcc5bd 0
+regions --m 5 --list --jobs 2 --format json  5dac1e08a431352ed374b8de84e89abf1ad23ddd00bc06ee94e5f6ad028f2ccd 0
 """
 CASES = [line.rsplit(None, 2) for line in GOLDEN.strip().splitlines()]
 

@@ -204,7 +204,7 @@ def test_m5_survivors_are_decided_with_certificates():
     from golomb.golomb_graph import _chain_rows, _enumerate_orders, _tables
 
     intervals = _tables(5).intervals
-    orders, _ = _enumerate_orders(5, 10**9, ())
+    orders = [o for v in range(len(intervals)) for o in _enumerate_orders(5, 10**9, v)[0]]
     infeasible = 0
     for o in orders:
         rows = _chain_rows(tuple(intervals[v] for v in o), 5)

@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+import golomb.golomb_graph as golomb_graph
 import golomb.rulers as rulers
 from golomb.errors import BudgetExceededError, CeilingExceededError
 from golomb.rulers import (
@@ -69,12 +70,13 @@ def per_bit_search(m, t_min, t_max, node_budget, first_gap, collect):
             hi = t_max
         elif k == 0:
             lo, hi = 1, _first_gap_bound(m, t_max, halve)
-            if first_gap is not None:
-                lo = max(lo, first_gap)
-                hi = min(hi, first_gap)
         else:
             lo = x + 1
             hi = t_max - (m - k - 1) - lead
+        if k == 0 and first_gap is not None:
+            # for m = 1 the first gap is the last one
+            lo = max(lo, first_gap)
+            hi = min(hi, first_gap)
         if hi < lo:
             return
         nodes += hi - lo + 1
@@ -282,15 +284,44 @@ def test_input_validation():
 UNLIMITED = 10**12
 
 
+def part_search(m, t_min, t_max, node_budget, first_gap, collect):
+    """`rulers._search` with its bit-sliced counters read bit by bit into
+    counts by length (each kept ruler standing for two when m >= 2), the
+    form `per_bit_search` returns."""
+    result, nodes = _search(m, t_min, t_max, node_budget, first_gap, collect)
+    if collect:
+        return result, nodes
+    weight = 2 if m >= 2 else 1
+    counts = [
+        weight * sum((plane >> y & 1) << i for i, plane in enumerate(result))
+        for y in range(t_max + 1)
+    ]
+    return counts, nodes
+
+
+def whole_search(m, t_min, t_max, collect):
+    """`part_search` over every first gap, joined in first-gap order or
+    summed by length, with the nodes of all parts: what `per_bit_search`
+    returns for the whole search (first_gap=None)."""
+    parts = [
+        part_search(m, t_min, t_max, UNLIMITED, first, collect)
+        for first in range(1, _first_gap_bound(m, t_max, not collect) + 1)
+    ]
+    nodes = sum(used for _, used in parts)
+    if collect:
+        return [ruler for part, _ in parts for ruler in part], nodes
+    return [sum(column) for column in zip([0] * (t_max + 1), *(part for part, _ in parts))], nodes
+
+
 def test_search_matches_the_per_bit_oracle():
     # the benchmark's sizes: g_3 to t = 150, g_4 to 60, g_5 to 45
     for m, t_max in [(1, 150), (2, 150), (3, 150), (4, 60), (5, 45), (6, 34)]:
         for t_min in (0, 1, t_max // 2, t_max):
             args = (m, t_min, t_max, UNLIMITED, None, False)
-            assert _search(*args) == per_bit_search(*args)
+            assert whole_search(m, t_min, t_max, False) == per_bit_search(*args)
         for first in range(1, _first_gap_bound(m, t_max, m >= 2) + 1):
             args = (m, 1, t_max, UNLIMITED, first, False)
-            assert _search(*args) == per_bit_search(*args)
+            assert part_search(*args) == per_bit_search(*args)
 
 
 def test_enumeration_matches_the_per_bit_oracle():
@@ -299,37 +330,75 @@ def test_enumeration_matches_the_per_bit_oracle():
         for t in lengths:
             args = (m, t, t, UNLIMITED, None, True)
             expected = per_bit_search(*args)
-            assert _search(*args) == expected
+            assert whole_search(m, t, t, True) == expected
             assert enumerate_golomb_rulers(m, t) == expected[0]
             for first in range(1, t - m + 2):
                 args = (m, t, t, UNLIMITED, first, True)
-                assert _search(*args) == per_bit_search(*args)
+                assert part_search(*args) == per_bit_search(*args)
 
 
 @given(st.integers(1, 5), st.integers(0, 36), st.integers(0, 36))
 def test_search_matches_the_per_bit_oracle_random(m, a, b):
     t_min, t_max = min(a, b), max(a, b)
     for collect in (False, True):
-        args = (m, t_max if collect else t_min, t_max, UNLIMITED, None, collect)
-        assert _search(*args) == per_bit_search(*args)
+        lo = t_max if collect else t_min
+        args = (m, lo, t_max, UNLIMITED, None, collect)
+        assert whole_search(m, lo, t_max, collect) == per_bit_search(*args)
 
 
-@pytest.mark.parametrize("collect", [False, True])
-def test_parallel_search_stops_at_the_first_total_over_budget(monkeypatch, collect):
-    # the parts arrive in first-gap order: once the first two exceed the
+@pytest.mark.parametrize("search", ["count", "collect", "census"], ids=["False", "True", "census"])
+def test_parallel_search_stops_at_the_first_total_over_budget(monkeypatch, search):
+    # the parts arrive in first-choice order: once the first two exceed the
     # budget, no later part may decide the outcome
-    search = rulers._search
-    m, t = 4, 30
-    first, second = (search(m, t, t, UNLIMITED, g, collect)[1] for g in (1, 2))
-    budget = first + second - 1
-    assert budget >= max(first, second)
+    if search == "census":
+        # m = 5 splits on the first placed interval, 0 .. 13
+        module, name, choice = golomb_graph, "_enumerate_orders", 2
+        first_two = [(5, UNLIMITED, v) for v in (0, 1)]
 
-    def later_parts_fail(m, t_min, t_max, node_budget, first_gap, collect):
-        if first_gap > 2:
+        def run(budget):
+            golomb_graph._census(5, budget, jobs=2)
+    else:
+        # m = 4, t = 30 splits on the first gap
+        collect = search == "collect"
+        module, name, choice = rulers, "_search", 4
+        first_two = [(4, 30, 30, UNLIMITED, g, collect) for g in (1, 2)]
+
+        def run(budget):
+            rulers._run_search(4, 30, 30, budget, 2, collect)
+    original = getattr(module, name)
+    nodes = [original(*args)[1] for args in first_two]
+    budget = sum(nodes) - 1
+    assert budget >= max(nodes)
+    last_allowed = first_two[1][choice]
+
+    def later_parts_fail(*args, **kwargs):
+        if args[choice] > last_allowed:
             raise AssertionError("a part after the budget ran out decided the outcome")
-        return search(m, t_min, t_max, node_budget, first_gap, collect)
+        return original(*args, **kwargs)
 
     # the forked workers inherit the patch
-    monkeypatch.setattr(rulers, "_search", later_parts_fail)
+    monkeypatch.setattr(module, name, later_parts_fail)
     with pytest.raises(BudgetExceededError):
-        rulers._run_search(m, t, t, budget, 2, collect)
+        run(budget)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_parts_run_on_what_is_left_of_the_budget(jobs):
+    from golomb.config import run_parts
+
+    budgets = []
+
+    def search(budget, part):
+        budgets.append(budget)
+        if part > budget:
+            raise BudgetExceededError(budget, "a part")
+        return 10 * part, part
+
+    # in this process each part gets what the parts before it left; a pool
+    # worker gets the whole budget, and a local function reaches it by fork
+    assert run_parts(search, [3, 4, 5], 12, jobs, "parts") == ([30, 40, 50], 12)
+    if jobs == 1:
+        assert budgets == [12, 9, 5]
+    for budget in (11, 4):
+        with pytest.raises(BudgetExceededError, match=f"budget of {budget} nodes exceeded in parts$"):
+            run_parts(search, [3, 4, 5], budget, jobs, "parts")
