@@ -5,7 +5,6 @@ from golomb.arrangement import golomb_hyperplanes, iop_vertices, period_bound
 from golomb.config import DEFAULT_NODE_BUDGET
 from golomb.errors import (
     BudgetExceededError,
-    CeilingExceededError,
     InconsistentValuesError,
     InsufficientPointsError,
     InterpolationError,
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceededError",
-    "CeilingExceededError",
     "DEFAULT_NODE_BUDGET",
     "GolombOrientation",
     "InconsistentValuesError",

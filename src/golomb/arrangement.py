@@ -2,13 +2,13 @@
 
 For gap vectors z in R^m, every pair of disjoint proper consecutive index
 intervals (U, V) cuts out the linear hyperplane sum(z_U) = sum(z_V). This
-module builds that family in a canonical deduplicated form, enumerates the
-vertices of the subdivision it induces on the simplex {z >= 0, sum z = 1}
-by integer exterior products over a depth-first search of the constraint
-subsets that prunes every dependent prefix, and reports the lcm of the
-vertex coordinate denominators. The period of the ruler counting
-quasipolynomial divides that lcm; equality is observed for small m but
-never asserted.
+module builds that family, one normal 1_U - 1_V per block pair, enumerates
+the vertices of the subdivision it induces on the simplex
+{z >= 0, sum z = 1} by integer exterior products over a depth-first search
+of the constraint subsets that prunes every dependent prefix, and reports
+the lcm of the vertex coordinate denominators. The period of the ruler
+counting quasipolynomial divides that lcm; equality is observed for small
+m but never asserted.
 """
 
 from __future__ import annotations
@@ -19,46 +19,31 @@ from math import comb, gcd, lcm
 
 from golomb.config import resolve_budget
 from golomb.errors import BudgetExceededError
-from golomb.rulers import dpcs_pairs
+from golomb.rulers import Interval, dpcs_pairs
 
 Normal = tuple[int, ...]
 Point = tuple[Fraction, ...]
 
 
-def canonical_normal(vec) -> Normal:
-    """Scale so the entries are coprime and the first nonzero one is positive."""
-    g = gcd(*vec)
-    if g == 0:
-        raise ValueError("the zero vector is not a hyperplane normal")
-    scaled = [x // g for x in vec]
-    first = next(x for x in scaled if x != 0)
-    if first < 0:
-        scaled = [-x for x in scaled]
-    return tuple(scaled)
+def _normal(blocks: tuple[Interval, Interval], m: int) -> Normal:
+    """1_U - 1_V for blocks (U, V): entries 0 and +-1, U's +1 first."""
+    (a, b), (c, d) = blocks
+    return tuple(1 if a <= i <= b else -1 if c <= i <= d else 0 for i in range(1, m + 1))
 
 
-def hyperplane_for_intervals(u, v, m: int) -> Normal:
-    """Canonical normal of sum(z_u) = sum(z_v) for index intervals; when they
-    overlap, the shared block cancels."""
-    vec = [0] * m
-    for i in range(u[0], u[1] + 1):
-        vec[i - 1] += 1
-    for i in range(v[0], v[1] + 1):
-        vec[i - 1] -= 1
-    return canonical_normal(vec)
+def hyperplane_blocks(m: int) -> tuple[tuple[Interval, Interval], ...]:
+    """(U, V), U left of V, for every equal-sum hyperplane sum(z_U) = sum(z_V)
+    in the order of golomb_hyperplanes: distinct pairs give distinct
+    normals, since the +1 entries recover U and the -1 entries V."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    return tuple(sorted(dpcs_pairs(m), key=lambda blocks: _normal(blocks, m)))
 
 
 def golomb_hyperplanes(m: int) -> tuple[Normal, ...]:
-    """One canonical normal per distinct equal-sum equation, sorted.
-
-    Distinct interval pairs never collide after canonicalisation (the
-    positive support recovers the left interval), but the dedup pass stays
-    so the claim is enforced rather than assumed.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    seen = {hyperplane_for_intervals(u, v, m) for u, v in dpcs_pairs(m)}
-    return tuple(sorted(seen))
+    """The normal 1_U - 1_V of every equal-sum hyperplane, sorted; its
+    first nonzero entry is +1 and its entries are coprime."""
+    return tuple(_normal(blocks, m) for blocks in hyperplane_blocks(m))
 
 
 def _wedge_terms(m: int) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...]:
@@ -109,7 +94,7 @@ def iop_vertices(m: int, *, budget: int | None = None) -> tuple[Point, ...]:
     Every point cut out by the affine hull {sum z = 1} together with m-1 of
     the hyperplanes and facets {z_j = 0}, kept when the linear system has a
     unique solution lying in the closed simplex. Deduplicated and sorted;
-    empty for m < 2.
+    empty for m = 1, and m < 1 is refused.
 
     The subsets are searched depth first in index order, each node carrying
     the integer exterior product of its rows; a zero product is a dependent
@@ -117,7 +102,9 @@ def iop_vertices(m: int, *, budget: int | None = None) -> tuple[Point, ...]:
     of subsets, C(#constraints, m-1), and is checked before any work; no
     budget means that of resolve_budget, as for every other search.
     """
-    if m < 2:
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if m == 1:
         return ()
     constraints: list[Normal] = list(golomb_hyperplanes(m))
     for j in range(m):

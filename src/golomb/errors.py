@@ -17,15 +17,6 @@ class BudgetExceededError(RuntimeError):
         return type(self), (self.budget, self.where)
 
 
-class CeilingExceededError(RuntimeError):
-    """An upward search reached its ceiling without finding what it wanted."""
-
-    def __init__(self, ceiling: int, what: str):
-        super().__init__(f"{what} not found at or below {ceiling}")
-        self.ceiling = ceiling
-        self.what = what
-
-
 class InterpolationError(ValueError):
     """Base class for failures of the per-residue interpolation."""
 

@@ -43,13 +43,11 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate
 
-from golomb.arrangement import golomb_hyperplanes, hyperplane_for_intervals
+from golomb.arrangement import Interval, golomb_hyperplanes, hyperplane_blocks
 from golomb.config import resolve_budget, run_parts
 from golomb.errors import BudgetExceededError
 from golomb.mixed_graphs import MixedGraph
 from golomb.simplex import strict_cone_feasibility
-
-Interval = tuple[int, int]
 
 DEFAULT_M_BOUND = 6
 
@@ -85,10 +83,6 @@ class GolombOrientation:
 
     def __str__(self) -> str:
         return " < ".join(self.labels())
-
-
-def _contains(big: Interval, small: Interval) -> bool:
-    return big != small and big[0] <= small[0] and small[1] <= big[1]
 
 
 def build_golomb_graph(m: int) -> MixedGraph:
@@ -144,29 +138,26 @@ def _tables(m: int) -> _Tables:
     n = len(ivs)
     hypers = golomb_hyperplanes(m)
     hindex = {h: k for k, h in enumerate(hypers)}
-    sides: list = [None] * len(hypers)
+    sides = hyperplane_blocks(m)
+    sides_index = {blocks: k for k, blocks in enumerate(sides)}
     incl_pred = [0] * n
     pair_info: list[list[tuple[int, int] | None]] = [[None] * n for _ in range(n)]
     class_edges: list[list[tuple[int, int, int]]] = [[] for _ in hypers]
     for i in range(n):
         for j in range(i + 1, n):
-            p, q = ivs[i], ivs[j]
-            if _contains(q, p):
+            (a, b), (c, d) = ivs[i], ivs[j]
+            if a == c:
                 incl_pred[j] |= 1 << i
-            elif _contains(p, q):
+            elif d <= b:
                 incl_pred[i] |= 1 << j
             else:
-                # the shared block cancels from sum(z_p) = sum(z_q); ordering i
-                # before j demands sum(z_p) < sum(z_q), the negative side of
-                # the normal exactly when p holds its positive block
-                k = hindex[hyperplane_for_intervals(p, q, m)]
-                pol = -1 if hypers[k][p[0] - 1] > 0 else 1
-                pair_info[i][j] = (k, pol)
-                pair_info[j][i] = (k, -pol)
-                class_edges[k].append((i, j, pol))
-                if p[1] < q[0]:
-                    # the one disjoint pair of the class is its two blocks
-                    sides[k] = (p, q)
+                # a < c and b < d: sum(z_p) = sum(z_q) loses the shared
+                # block, leaving the hyperplane with blocks (p - q, q - p);
+                # ordering i before j demands its negative side
+                k = sides_index[(a, min(b, c - 1)), (max(c, b + 1), d)]
+                pair_info[i][j] = (k, -1)
+                pair_info[j][i] = (k, 1)
+                class_edges[k].append((i, j, -1))
     # Exact additions among signed normals force further signs: whenever
     # s1*h1 + s2*h2 = s3*h3, the sides sign(h1.z) = s1 and sign(h2.z) = s2
     # imply sign(h3.z) = s3. These cut the orders that are pairwise
@@ -188,7 +179,7 @@ def _tables(m: int) -> _Tables:
     tables = _TABLES[m] = _Tables(
         intervals=ivs,
         hyperplanes=hypers,
-        hyper_sides=tuple(sides),
+        hyper_sides=sides,
         incl_pred=tuple(incl_pred),
         pair_info=tuple(tuple(row) for row in pair_info),
         class_edges=tuple(tuple(c) for c in class_edges),

@@ -37,8 +37,8 @@ class MixedGraph:
     arcs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("vertex count must be non-negative")
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
+            raise ValueError(f"vertex count 'n' must be a non-negative integer, got {self.n!r}")
         norm_edges = []
         for u, v in self.edges:
             self._check_pair(u, v)
@@ -57,8 +57,8 @@ class MixedGraph:
 
     def _check_pair(self, u: int, v: int) -> None:
         for w in (u, v):
-            if not isinstance(w, int) or not 1 <= w <= self.n:
-                raise ValueError(f"vertex {w!r} outside 1..{self.n}")
+            if not isinstance(w, int) or isinstance(w, bool) or not 1 <= w <= self.n:
+                raise ValueError(f"vertex {w!r} outside the integers 1..{self.n}")
         if u == v:
             raise ValueError(f"loop at vertex {u}")
 
@@ -77,8 +77,6 @@ def from_json_dict(data) -> MixedGraph:
         arcs = data["arcs"]
     except KeyError as exc:
         raise ValueError(f"mixed graph input is missing key {exc.args[0]!r}") from None
-    if not isinstance(n, int):
-        raise ValueError("'n' must be an integer")
     for name, pairs in (("edges", edges), ("arcs", arcs)):
         if not isinstance(pairs, list) or any(
             not isinstance(p, list) or len(p) != 2 for p in pairs

@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Mapping
 
-from golomb.arrangement import period_bound
+from golomb.arrangement import golomb_hyperplanes, period_bound
 from golomb.config import resolve_budget
 from golomb.errors import (
     BudgetExceededError,
@@ -42,7 +42,7 @@ from golomb.errors import (
     InsufficientPointsError,
     LeadingCoefficientError,
 )
-from golomb.golomb_graph import _multiplicities, _tables
+from golomb.golomb_graph import _multiplicities
 from golomb.ratpoly import (
     Poly,
     format_fraction,
@@ -189,7 +189,7 @@ def _line_forms(m: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
     """Every hyperplane normal h restricted to the lines z_{m-1} = x,
     z_m = r - x: h.z = h_prefix.(z_1..z_{m-2}) + h_m*r + (h_{m-1} - h_m)*x.
     Returns (h_prefix, h_m, slope) per hyperplane."""
-    return tuple((h[: m - 2], h[m - 1], h[m - 2] - h[m - 1]) for h in _tables(m).hyperplanes)
+    return tuple((h[: m - 2], h[m - 1], h[m - 2] - h[m - 1]) for h in golomb_hyperplanes(m))
 
 
 def _weighted_level(m: int, t: int, forms, multiplicity) -> int:

@@ -37,10 +37,12 @@ order, and the first running total over the node budget raises.
 from __future__ import annotations
 
 from functools import partial
+from itertools import count
+from math import comb
 from typing import Iterator
 
 from golomb.config import resolve_budget, run_parts
-from golomb.errors import BudgetExceededError, CeilingExceededError
+from golomb.errors import BudgetExceededError
 
 Gaps = tuple[int, ...]
 Interval = tuple[int, int]
@@ -105,7 +107,7 @@ def enumerate_golomb_rulers(m: int, t: int, *, budget: int | None = None, jobs: 
         raise ValueError("m must be >= 1")
     if t < 1:
         raise ValueError("t must be >= 1")
-    return _run_search(m, t, t, resolve_budget(budget), jobs, True)
+    return _run_search(m, t, t, resolve_budget(budget), jobs, True)[0]
 
 
 def golomb_counts(
@@ -124,7 +126,7 @@ def golomb_counts(
         raise ValueError("t must be >= 0")
     if t_max < t_min:
         raise ValueError("t_max must be >= t_min")
-    counts = _run_search(m, t_min, t_max, resolve_budget(budget), jobs, False)
+    counts = _run_search(m, t_min, t_max, resolve_budget(budget), jobs, False)[0]
     return {t: counts[t] for t in range(t_min, t_max + 1)}
 
 
@@ -136,16 +138,22 @@ def count_golomb_rulers(m: int, t: int, *, budget: int | None = None, jobs: int 
 
 def _run_search(m: int, t_min: int, t_max: int, node_budget: int, jobs: int, collect: bool):
     """The rulers of length t_max in lexicographic order when collecting,
-    else the counts by length 0 .. t_max: one search per first gap, run by
-    config.run_parts, joined in first-gap order or added as bit-sliced
-    counters and read once."""
-    firsts = range(1, _first_gap_bound(m, t_max, not collect) + 1)
-    parts, _ = run_parts(
+    else the counts by length 0 .. t_max, and the nodes spent: one search
+    per first gap, run by config.run_parts once the budget covers
+    _node_floor, joined in first-gap order or added as bit-sliced counters."""
+    halve = not collect and m >= 2
+    floor = _node_floor(m, t_min, t_max, halve)
+    if floor > node_budget:
+        raise BudgetExceededError(
+            node_budget, f"golomb ruler search (at least {floor} nodes for t = {t_min}..{t_max})"
+        )
+    firsts = range(1, _first_gap_bound(m, t_max, halve) + 1)
+    parts, nodes = run_parts(
         partial(_search, m, t_min, t_max, collect=collect), firsts, node_budget, jobs,
         "golomb ruler search",
     )
     if collect:
-        return [ruler for part in parts for ruler in part]
+        return [ruler for part in parts for ruler in part], nodes
     # each part's counters ripple into the total from their own plane, and
     # the total, at most the nodes and so the budget, is read once
     total = [0] * node_budget.bit_length()
@@ -162,8 +170,25 @@ def _run_search(m: int, t_min: int, t_max: int, node_budget: int, jobs: int, col
             low = p & -p
             p ^= low
             # with halving each counted ruler stands for two
-            counts[low.bit_length() - 1] += (2 if m >= 2 else 1) << i
-    return counts
+            counts[low.bit_length() - 1] += (2 if halve else 1) << i
+    return counts, nodes
+
+
+def _node_floor(m: int, t_min: int, t_max: int, halve: bool) -> int:
+    """A lower bound on the nodes of the search over lengths t_min .. t_max:
+    each kept ruler is a set bit of a window whose width counts, so at least
+    sum_t g_m(t), half that when halving. For t >= 2 each of the
+    H = C(m+2, 4) hyperplanes holds at most C(t-2, m-2) of the C(t-1, m-1)
+    positive gap vectors of total t (fixing all gaps but one per block fixes
+    those two), so g_m(t) >= C(t-1, m-1) - H C(t-2, m-2), which is summed
+    from t = H(m-1) + 1, where it turns non-negative."""
+    hyperplanes = comb(m + 2, 4)
+    lo = max(t_min, 2, hyperplanes * (m - 1) + 1)
+    if t_max < lo:
+        return 0
+    floor = comb(t_max, m) - comb(lo - 1, m)
+    floor -= hyperplanes * (comb(t_max - 1, m - 1) - comb(lo - 2, m - 1))
+    return floor // (2 if halve else 1)
 
 
 def _first_gap_bound(m: int, t_max: int, halve: bool) -> int:
@@ -272,18 +297,24 @@ def _search(m: int, t_min: int, t_max: int, node_budget: int, first_gap: int, co
     return out if collect else planes, nodes
 
 
-def optimal_length(m: int, *, ceiling: int | None = None, budget: int | None = None) -> int:
+def optimal_length(m: int, *, budget: int | None = None) -> int:
     """Least t >= 1 admitting a Golomb ruler with m gaps.
 
     The m(m+1)/2 pairwise differences are distinct positive integers <= t,
-    so the search may start at t = m(m+1)/2. The default ceiling m*m + 1
-    comfortably covers m <= 6.
+    so the search starts at t = m(m+1)/2, and ends: the marks
+    0, 1, 3, ..., 2^m - 1 make a ruler for every m. The lengths share one
+    budget, each searched on what the ones before it left, and the first
+    running total above it raises.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    limit = ceiling if ceiling is not None else m * m + 1
-    start = m * (m + 1) // 2
-    for t in range(start, limit + 1):
-        if count_golomb_rulers(m, t, budget=budget) > 0:
+    limit = resolve_budget(budget)
+    used = 0
+    for t in count(m * (m + 1) // 2):
+        try:
+            counts, nodes = _run_search(m, t, t, limit - used, 1, False)
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(limit, exc.where) from None
+        if counts[t]:
             return t
-    raise CeilingExceededError(limit, f"optimal Golomb ruler length for m={m}")
+        used += nodes

@@ -12,15 +12,16 @@ from golomb.arrangement import (
     _cofactors,
     _wedge,
     _wedge_terms,
-    canonical_normal,
     golomb_hyperplanes,
-    hyperplane_for_intervals,
+    hyperplane_blocks,
     iop_vertices,
     period_bound,
 )
 from golomb.cli import main
 from golomb.errors import BudgetExceededError
 from golomb.rulers import dpcs_pairs
+
+from normals import canonical_normal
 
 M3_VERTICES = {
     (F(0), F(0), F(1)),
@@ -176,13 +177,30 @@ def test_hyperplanes_m2_and_m3():
 
 
 def test_hyperplane_normals_are_canonical_sign_patterns():
-    for m in (2, 3, 4, 5):
+    for m in range(1, 9):
         normals = golomb_hyperplanes(m)
         assert len(set(normals)) == len(normals)
+        assert list(normals) == sorted(normals)
         for normal in normals:
             assert set(normal) <= {-1, 0, 1}
             assert 1 in normal and -1 in normal
             assert next(x for x in normal if x) == 1
+            assert canonical_normal(normal) == normal
+
+
+def test_hyperplanes_are_the_block_pair_indicators():
+    """Normal k is 1_U - 1_V for the k-th block pair (U, V), and the pairs
+    are exactly the disjoint pairs of dpcs_pairs, U left of V."""
+    for m in range(1, 9):
+        blocks = hyperplane_blocks(m)
+        assert sorted(blocks) == sorted(dpcs_pairs(m))
+        for ((a, b), (c, d)), normal in zip(blocks, golomb_hyperplanes(m), strict=True):
+            assert b < c
+            assert normal == tuple(
+                (a <= x <= b) - (c <= x <= d) for x in range(1, m + 1)
+            )
+    with pytest.raises(ValueError):
+        hyperplane_blocks(0)
 
 
 def test_deduplication_cross_check():
@@ -211,6 +229,13 @@ def test_vertices_m3_match_known_list():
 
 def test_vertices_empty_below_m2():
     assert iop_vertices(1) == ()
+
+
+def test_vertices_refuse_m_below_one():
+    for m in (0, -2):
+        for call in (iop_vertices, period_bound, golomb_hyperplanes):
+            with pytest.raises(ValueError, match="m must be >= 1"):
+                call(m)
 
 
 def test_vertices_satisfy_their_defining_systems():

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import golomb.rulers as rulers
 from golomb.cli import main
 from golomb.fixtures import KNOWN_COUNTS_M3
 
@@ -185,6 +186,37 @@ def test_mixed_chroma(capsys):
     assert payload["polynomial"] == ["0", "1", "-3/2", "1/2"]
 
 
+def test_mixed_chroma_reads_the_count_off_the_polynomial(capsys, monkeypatch):
+    # 2000^3 colour maps are over the default budget; chi already holds the count
+    monkeypatch.delenv("GOLOMB_BUDGET", raising=False)
+    code, out, _ = run_cli(
+        capsys, "mixed", "chroma", "--fixture", "triangle", "--t", "2000", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["count"] == 2000 * 1999 * 1998 // 2
+    code, _, err = run_cli(capsys, "mixed", "chroma", "--fixture", "triangle", "--t", "-1")
+    assert code == 1 and "t must be >= 0" in err
+
+
+@pytest.mark.parametrize("graph, named", [
+    ({"n": 2, "edges": [[True, 2]], "arcs": []}, "vertex True"),
+    ({"n": 2, "edges": [], "arcs": [[1, False]]}, "vertex False"),
+    ({"n": True, "edges": [], "arcs": []}, "got True"),
+])
+def test_mixed_graph_json_refuses_booleans(tmp_path, capsys, graph, named):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(graph))
+    code, out, err = run_cli(capsys, "mixed", "orientations", "--input", str(path))
+    assert code == 1 and out == "" and named in err
+
+
+def test_vertices_refuse_m_below_one(capsys):
+    for m in ("0", "-2"):
+        for fmt in ("text", "json", "csv"):
+            code, out, err = run_cli(capsys, "vertices", "--m", m, "--format", fmt)
+            assert code == 1 and out == "" and "m must be >= 1" in err
+
+
 def test_mixed_orientations(tmp_path, capsys):
     path = tmp_path / "k3.json"
     path.write_text(json.dumps({"n": 3, "edges": [[1, 2], [1, 3], [2, 3]], "arcs": []}))
@@ -241,6 +273,18 @@ def test_vertex_budget_fails_before_any_work(capsys, monkeypatch):
     assert code == 2 and out == "" and "C(19, 3) = 969" in err
     code, out, _ = run_cli(capsys, "vertices", "--m", "4", "--budget", "969", "--format", "json")
     assert code == 0 and len(json.loads(out)["vertices"]) == 42
+
+
+def test_ruler_counts_that_cannot_fit_fail_fast(capsys, monkeypatch):
+    # m = 4 asks for g_4(t), t = 1 .. 4 * 840, at least 2.6 * 10^12 nodes
+    def never(*args, **kwargs):
+        raise AssertionError("the ruler search ran although it cannot fit the budget")
+
+    monkeypatch.delenv("GOLOMB_BUDGET", raising=False)
+    monkeypatch.setattr(rulers, "_search", never)
+    for argv in (["quasipoly", "--m", "4"], ["reciprocity", "golomb", "--m", "4", "--t", "0"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "at least 2603243205420 nodes" in err
 
 
 def test_exit_code_input_error_on_bad_graph_file(tmp_path):

@@ -6,7 +6,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, strategies as st
 
-from golomb.arrangement import canonical_normal, golomb_hyperplanes
+from golomb.arrangement import golomb_hyperplanes
 from golomb.cli import main
 from golomb.errors import BudgetExceededError
 from golomb.golomb_graph import (
@@ -26,6 +26,7 @@ from golomb.rulers import enumerate_golomb_rulers, is_golomb
 from golomb.simplex import strict_cone_feasibility
 
 from compositions import positive_compositions
+from normals import canonical_normal
 
 
 def oracle_orientations(m):
@@ -146,6 +147,33 @@ def test_pair_tables_match_interval_indicators():
                     tables.hyperplanes.index(h),
                     -1 if h == d else 1,
                 )
+
+
+def test_crossing_pairs_map_to_their_difference_blocks():
+    """hyper_sides[k] holds the blocks of normal k; a crossing pair p < q lies
+    on the hyperplane with blocks (p - q, q - p), and ordering the earlier
+    interval p first is its negative side."""
+    for m in range(1, 8):
+        tables = _tables(m)
+        for (u, v), h in zip(tables.hyper_sides, tables.hyperplanes, strict=True):
+            assert h == tuple(
+                (u[0] <= x <= u[1]) - (v[0] <= x <= v[1]) for x in range(1, m + 1)
+            )
+        ivs = tables.intervals
+        for i, p in enumerate(ivs):
+            for j in range(i + 1, len(ivs)):
+                q = ivs[j]
+                only_p = [x for x in range(p[0], p[1] + 1) if not q[0] <= x <= q[1]]
+                only_q = [x for x in range(q[0], q[1] + 1) if not p[0] <= x <= p[1]]
+                if not only_p or not only_q:
+                    assert tables.pair_info[i][j] is None
+                    continue
+                k, pol = tables.pair_info[i][j]
+                assert tables.hyper_sides[k] == (
+                    (only_p[0], only_p[-1]), (only_q[0], only_q[-1])
+                )
+                assert pol == -1 and tables.pair_info[j][i] == (k, 1)
+                assert (i, j, -1) in tables.class_edges[k]
 
 
 def test_golomb_graph_small_cases():

@@ -86,6 +86,23 @@ def test_validation_rejects_bad_pairs():
         MixedGraph(-1)
 
 
+def test_validation_rejects_booleans():
+    # bool is an int subclass, and True == 1 would pass a range check
+    for bad in (True, False):
+        with pytest.raises(ValueError, match=f"vertex {bad} outside the integers"):
+            MixedGraph(2, edges=((bad, 2),))
+        with pytest.raises(ValueError, match=f"vertex {bad} outside the integers"):
+            MixedGraph(2, arcs=((1, bad),))
+        with pytest.raises(ValueError, match=f"'n' must be a non-negative integer, got {bad}"):
+            MixedGraph(bad)
+    with pytest.raises(ValueError, match="'n' must be a non-negative integer, got '3'"):
+        from_json_dict({"n": "3", "edges": [], "arcs": []})
+    with pytest.raises(ValueError, match="vertex True"):
+        from_json_dict({"n": 2, "edges": [[True, 2]], "arcs": []})
+    with pytest.raises(ValueError, match="got True"):
+        from_json_dict({"n": True, "edges": [], "arcs": []})
+
+
 def test_normalisation():
     g = MixedGraph(3, edges=((3, 1),), arcs=((2, 1),))
     assert g.edges == ((1, 3),)

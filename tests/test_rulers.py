@@ -5,9 +5,11 @@ from hypothesis import given, strategies as st
 
 import golomb.golomb_graph as golomb_graph
 import golomb.rulers as rulers
-from golomb.errors import BudgetExceededError, CeilingExceededError
+from golomb.errors import BudgetExceededError
 from golomb.rulers import (
     _first_gap_bound,
+    _node_floor,
+    _run_search,
     _search,
     complement,
     count_golomb_rulers,
@@ -208,9 +210,11 @@ def test_optimal_lengths():
     assert [optimal_length(m) for m in range(1, 8)] == [1, 3, 6, 11, 17, 25, 34]
 
 
-def test_optimal_length_ceiling():
-    with pytest.raises(CeilingExceededError):
-        optimal_length(4, ceiling=9)
+def test_optimal_length_shares_one_budget():
+    # m = 6 searches t = 21 .. 25 in 2087 + 2909 + 3996 + 5408 + 7236 nodes
+    assert optimal_length(6, budget=21636) == 25
+    with pytest.raises(BudgetExceededError, match="budget of 21635 nodes"):
+        optimal_length(6, budget=21635)
 
 
 def test_budget_exhaustion():
@@ -224,6 +228,33 @@ def test_budget_exhaustion():
         for budget in (10, 2000, 3109):
             with pytest.raises(BudgetExceededError):
                 count_golomb_rulers(4, 30, budget=budget, jobs=jobs)
+
+
+def test_node_floor_bounds_the_search():
+    # the floor never refuses a search that fits
+    for m, t_max, floor, nodes in [(2, 60, 855, 899), (3, 150, 248115, 274750),
+                                   (4, 60, 24832, 214568)]:
+        assert _node_floor(m, 1, t_max, True) == floor
+        assert _run_search(m, 1, t_max, UNLIMITED, 1, False)[1] == nodes
+    for m, t_max in [(1, 40), (2, 60), (3, 150), (4, 60), (5, 40)]:
+        for t_min in (0, 1, 2, t_max // 2, t_max):
+            assert _node_floor(m, t_min, t_max, m >= 2) <= _run_search(
+                m, t_min, t_max, UNLIMITED, 1, False
+            )[1]
+    for m, t in [(1, 5), (2, 30), (3, 40), (4, 25)]:
+        assert _node_floor(m, t, t, False) <= _run_search(m, t, t, UNLIMITED, 1, True)[1]
+    # g_4 to t = 3360, what quasipoly --m 4 asks for, cannot fit in 10^9
+    assert _node_floor(4, 1, 3360, True) > 2 * 10**12
+
+
+def test_search_refuses_a_budget_below_its_floor(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a part ran although the floor exceeds the budget")
+
+    monkeypatch.setattr(rulers, "_search", never)
+    floor = _node_floor(3, 1, 150, True)
+    with pytest.raises(BudgetExceededError, match=f"at least {floor} nodes"):
+        golomb_counts(3, 1, 150, budget=floor - 1)
 
 
 def test_count_matches_enumeration_serial_and_parallel():
