@@ -32,14 +32,16 @@ def resolve_budget(explicit: int | None = None) -> int:
     return DEFAULT_NODE_BUDGET
 
 
-def run_parts(search, parts, budget: int, jobs: int, where: str) -> tuple[list, int]:
+def run_parts(search, parts, budget: int, jobs: int, where: str, take=None) -> tuple[list, int]:
     """search(budget, part) -> (result, nodes) for every part, in order; the
-    results in that order and their node total. With jobs == 1, or one
-    part, the parts run here, each on what is left of the budget; with
-    jobs > 1 they run on a fork pool, each on the whole budget. Either way
-    the first running total above the budget raises BudgetExceededError,
-    naming the whole budget, and that ends the pool."""
+    results in that order and their node total. Given take, each result is
+    handed to take(result) as it arrives instead, and none is kept. With
+    jobs == 1, or one part, the parts run here, each on what is left of the
+    budget; with jobs > 1 they run on a fork pool, each on the whole
+    budget. Either way the first running total above the budget raises
+    BudgetExceededError, naming the whole budget, and that ends the pool."""
     results, used = [], 0
+    take = take or results.append
     pool = None
     if jobs > 1 and len(parts) > 1:
         pool = multiprocessing.get_context("fork").Pool(
@@ -53,7 +55,7 @@ def run_parts(search, parts, budget: int, jobs: int, where: str) -> tuple[list, 
                 used += nodes
                 if used > budget:
                     raise BudgetExceededError(budget, where)
-                results.append(result)
+                take(result)
         except BudgetExceededError:
             raise BudgetExceededError(budget, where) from None
     return results, used

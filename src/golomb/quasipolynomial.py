@@ -14,16 +14,22 @@ while the quasipolynomial value at 0 is the number of cells of the
 subdivided simplex.
 
 The reciprocity check weighs every non-negative gap vector of total t by
-its multiplicity, the number of cell closures holding it. That weight
-differs from 1 only on the equal-sum hyperplanes: a vector off all of them
-has no zero sign, and moving it along (1, ..., 1) into the open simplex
-keeps every sign, so it lies in exactly one closure. The sum is therefore
-C(t+m-1, m-1) plus mult(z) - 1 over the points on some hyperplane. Those
-are found line by line: on the line z_{m-1} = x, z_m = r - x with a fixed
-prefix, each hyperplane is affine in x with slope in -2..2, so it holds the
-whole line, meets it in one integer x or misses it. A level costs one walk
-over its C(t+m-2, m-2) lines instead of one lookup for each of its
-C(t+m-1, m-1) points.
+its multiplicity, the number of cell closures holding it, and sums those
+weights from the intersection lattice (Beck-Zaslavsky inside-out
+polytopes): rhs(t) = sum of |mu(0̂, u)| * N_u(t) over the flats u of the
+equal-sum arrangement that meet the open orthant, where N_u(t) counts the
+non-negative integer points of u with sum t. Near z only the hyperplanes
+through z matter, and by Zaslavsky's theorem the closures holding z number
+sum |mu(0̂, u)| over the flats through z that meet the open cone of
+directions keeping z's zero coordinates positive; a flat through z meets
+that cone exactly when it meets the open orthant (add a large multiple of
+z to a direction in the cone, or read a positive point as a direction),
+so mult(z) is that sum over the lattice's flats through z. Exchanging the
+two sums gives rhs(t). The lattice module builds the flats and counts
+N_u(t): a binomial for R^m, closed form for flats of dimension 2 or less,
+a walk over all but one free coordinate above that. The two sides stay
+independent: the left comes from ruler counts by interpolation, the right
+from the lattice, and neither reads the orientation census.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Mapping
 
-from golomb.arrangement import golomb_hyperplanes, period_bound
+from golomb.arrangement import period_bound
 from golomb.config import resolve_budget
 from golomb.errors import (
     BudgetExceededError,
@@ -42,7 +48,7 @@ from golomb.errors import (
     InsufficientPointsError,
     LeadingCoefficientError,
 )
-from golomb.golomb_graph import _multiplicities
+from golomb.lattice import orthant_lattice, weighted_counts
 from golomb.ratpoly import (
     Poly,
     format_fraction,
@@ -185,51 +191,6 @@ class GolombReciprocityReport:
         return all(row.ok for row in self.rows)
 
 
-def _line_forms(m: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-    """Every hyperplane normal h restricted to the lines z_{m-1} = x,
-    z_m = r - x: h.z = h_prefix.(z_1..z_{m-2}) + h_m*r + (h_{m-1} - h_m)*x.
-    Returns (h_prefix, h_m, slope) per hyperplane."""
-    return tuple((h[: m - 2], h[m - 1], h[m - 2] - h[m - 1]) for h in golomb_hyperplanes(m))
-
-
-def _weighted_level(m: int, t: int, forms, multiplicity) -> int:
-    """Sum of multiplicities over the non-negative gap vectors of total t, by
-    lines: C(t+m-1, m-1) counts every vector once, and only the points on
-    some hyperplane add their multiplicity minus one. On a line a hyperplane
-    is affine in x, so it holds the whole line, one x or none."""
-    if m == 1:
-        return 1  # no hyperplanes; the single vector (t,) lies in the one cell
-    extra = 0
-
-    def walk(depth: int, prefix: tuple[int, ...], slack: int, values: list[int]) -> None:
-        nonlocal extra
-        if depth == m - 2:
-            on_hyperplanes: set[int] | range = set()
-            for value, (_, last, slope) in zip(values, forms):
-                c = value + last * slack
-                if slope == 0:
-                    if c == 0:
-                        on_hyperplanes = range(slack + 1)
-                        break
-                else:
-                    x, off = divmod(-c, slope)
-                    if not off and 0 <= x <= slack:
-                        on_hyperplanes.add(x)
-            for x in on_hyperplanes:
-                extra += multiplicity((*prefix, x, slack - x)) - 1
-            return
-        for z in range(slack + 1):
-            walk(
-                depth + 1,
-                (*prefix, z),
-                slack - z,
-                [v + form[0][depth] * z for v, form in zip(values, forms)],
-            )
-
-    walk(0, (), t, [0] * len(forms))
-    return comb(t + m - 1, m - 1) + extra
-
-
 def reciprocity_check_golomb(
     m: int, t_values: Iterable[int], *, budget: int | None = None
 ) -> GolombReciprocityReport:
@@ -238,12 +199,14 @@ def reciprocity_check_golomb(
     zero vector's multiplicity, the number of cells: the origin lies in
     every cell closure.
 
-    A gap vector off every hyperplane has no zero sign, so exactly one cell
-    closure holds it (moving it along (1, ..., 1) into the open simplex
-    keeps every sign). The sum is therefore C(t+m-1, m-1) plus mult(z) - 1
-    over the points on the hyperplanes, found line by line; each distinct t
-    walks C(t+m-2, m-2) lines (none for m = 1). Negative t is refused, and
-    a line count above the budget raises, before any other work."""
+    The sum is sum over u of |mu(0̂, u)| * N_u(t), over the flats u of the
+    equal-sum arrangement that meet the open orthant, with N_u(t) the
+    non-negative integer points of u of sum t: mult(z) is sum |mu(0̂, u)|
+    over those flats through z (see the module docstring). Negative t is
+    refused, and the C(t+m-2, m-2) lines of the simplex at each distinct
+    level (none for m = 1), summed as the cost of the sum, are checked
+    against the budget before any other work; the budget then caps the
+    ruler search, the period bound and the joins of the lattice build."""
     t_values = list(t_values)
     if any(t < 0 for t in t_values):
         raise ValueError("t values must be >= 0")
@@ -254,8 +217,6 @@ def reciprocity_check_golomb(
         raise BudgetExceededError(limit, f"{lines} lines of the golomb reciprocity sum")
     q = golomb_quasipolynomial(m, budget=budget)
     sign = (-1) ** (m - 1)
-    multiplicity = _multiplicities(m, budget)
-    forms = _line_forms(m)
-    rhs = {t: _weighted_level(m, t, forms, multiplicity) for t in levels}
+    rhs = weighted_counts(orthant_lattice(m, budget=budget), levels)
     rows = tuple(ReciprocityRow(t, sign * q.evaluate(-t), rhs[t]) for t in t_values)
     return GolombReciprocityReport(m, rows)

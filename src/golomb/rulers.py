@@ -18,8 +18,8 @@ passed down with one shift of the new seen, exact above the new mark
 node that places mark m-1 reads its children's windows of last marks
 inline, and counting adds each window, a mask over lengths, to
 bit-sliced counters: one search counts every length of a range at once,
-with no call and no loop per ruler, and the parts' counters are added in
-the same form and read once. Counting uses gap
+with no call and no loop per ruler, and each part's counters are added
+in the same form as the part returns, and read once. Counting uses gap
 reversal: for m >= 2 no Golomb ruler has z_1 = z_m (they are the
 differences of two distinct pairs of marks), reversal swaps them, so the
 search keeps only z_m > z_1, prunes every level by that bound on the last
@@ -147,23 +147,27 @@ def _run_search(m: int, t_min: int, t_max: int, node_budget: int, jobs: int, col
         raise BudgetExceededError(
             node_budget, f"golomb ruler search (at least {floor} nodes for t = {t_min}..{t_max})"
         )
-    firsts = range(1, _first_gap_bound(m, t_max, halve) + 1)
-    parts, nodes = run_parts(
-        partial(_search, m, t_min, t_max, collect=collect), firsts, node_budget, jobs,
-        "golomb ruler search",
-    )
-    if collect:
-        return [ruler for part in parts for ruler in part], nodes
-    # each part's counters ripple into the total from their own plane, and
-    # the total, at most the nodes and so the budget, is read once
+    # each part's rulers join the list, or its counters ripple into the
+    # total from their own plane, as the part arrives; the total, at most
+    # the nodes and so the budget, is read once
+    rulers: list[Gaps] = []
     total = [0] * node_budget.bit_length()
-    for planes in parts:
+
+    def add(planes) -> None:
         for i, mask in enumerate(planes):
             while mask:
                 p = total[i]
                 total[i] = p ^ mask
                 mask &= p
                 i += 1
+
+    firsts = range(1, _first_gap_bound(m, t_max, halve) + 1)
+    _, nodes = run_parts(
+        partial(_search, m, t_min, t_max, collect=collect), firsts, node_budget, jobs,
+        "golomb ruler search", rulers.extend if collect else add,
+    )
+    if collect:
+        return rulers, nodes
     counts = [0] * (t_max + 1)
     for i, p in enumerate(total):
         while p:

@@ -11,7 +11,9 @@ to lines; the three `golomb-count` rows at the benchmark's sizes before the
 ruler search passed its forbidden-mark mask down and counted last marks
 with bit-sliced counters; the two `--jobs 2` rows, whose digests equal
 those of the serial rows above, before both split searches moved onto one
-driver); any change to a single byte of any format fails here.
+driver; the last two reciprocity rows before the multiplicity sum moved
+from the orientation census to the intersection lattice); any change to a
+single byte of any format fails here.
 """
 
 import hashlib
@@ -59,6 +61,8 @@ golomb-count --m 4 --t-min 1 --t-max 60 --format json  cb9bc407ac83e72964deedc42
 golomb-count --m 5 --t-min 1 --t-max 45 --format json  0404bc9972cc4fc340bd5ffbd8bcc5247b61ffa42ba7ae3182ddab65c4f213dd 0
 golomb-count --m 4 --t-min 1 --t-max 60 --jobs 2 --format json  cb9bc407ac83e72964deedc42437876386e498d2951f8dbb15713e5751fcc5bd 0
 regions --m 5 --list --jobs 2 --format json  5dac1e08a431352ed374b8de84e89abf1ad23ddd00bc06ee94e5f6ad028f2ccd 0
+reciprocity golomb --m 3 --t-min 0 --t-max 40 --format text  2eb3d1f27366caeab06075f015f795c55002f00b7b5e7b13ca95b441981ed980 0
+reciprocity golomb --m 1 --t-min 0 --t-max 5 --format json  2e5d282a9d0a1366df1e98cf6575e5d09b128b3f14665f8ba64b89581bf6d4b9 0
 """
 CASES = [line.rsplit(None, 2) for line in GOLDEN.strip().splitlines()]
 

@@ -12,15 +12,13 @@ from golomb.errors import (
 from golomb.golomb_graph import _multiplicities
 from golomb.quasipolynomial import (
     Quasipolynomial,
-    _line_forms,
-    _weighted_level,
     golomb_quasipolynomial,
     interpolate,
     reciprocity_check_golomb,
 )
 from golomb.rulers import count_golomb_rulers
 
-from compositions import multiplicity_sum
+from compositions import line_forms, multiplicity_sum, weighted_level
 
 # the m=3 counting quasipolynomial, period 12, constant term first
 G3_CONSTITUENTS = {
@@ -200,7 +198,7 @@ def test_negative_t_is_refused_before_any_work(monkeypatch):
 
 
 def line_sum(m, t):
-    return _weighted_level(m, t, _line_forms(m), _multiplicities(m))
+    return weighted_level(m, t, line_forms(m), _multiplicities(m))
 
 
 def test_line_sums_match_the_composition_oracle():

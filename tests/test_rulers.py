@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -289,6 +290,19 @@ def test_range_budget_boundary():
         assert golomb_counts(4, 5, 25, budget=4642, jobs=jobs) == expected
         with pytest.raises(BudgetExceededError):
             golomb_counts(4, 5, 25, budget=4641, jobs=jobs)
+
+
+def test_counting_parts_are_added_as_they_arrive():
+    # each m = 1 part is a t-bit counter, so keeping every part until the
+    # last returns would hold about t^2 / 16 bytes, 25 MB at t = 20000
+    tracemalloc.start()
+    try:
+        counts = golomb_counts(1, 1, 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == dict.fromkeys(range(1, 20001), 1)
+    assert peak < 4 * 2**20
 
 
 def test_parallel_enumeration_matches_serial():
