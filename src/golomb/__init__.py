@@ -1,5 +1,7 @@
 """Exact enumeration of Golomb rulers, their counting quasipolynomials, and
-coloring/orientation machinery for general mixed graphs."""
+coloring/orientation machinery for general mixed graphs. Golomb
+multiplicities come from the intersection lattice of the equal-sum
+hyperplanes (golomb.lattice); the orientation census lists the cells."""
 
 from golomb.arrangement import golomb_hyperplanes, iop_vertices, period_bound
 from golomb.config import DEFAULT_NODE_BUDGET
@@ -16,9 +18,9 @@ from golomb.golomb_graph import (
     complement_orientation,
     consecutive_subsets,
     enumerate_constrained_orientations,
-    multiplicity,
     region_sign_vector,
 )
+from golomb.lattice import multiplicity
 from golomb.mixed_graphs import (
     MixedGraph,
     chromatic_number,

@@ -1,5 +1,6 @@
 """The search node budget: its default, its environment override, and the
-one driver that runs a search split on its first choice under it."""
+one driver that runs a search split on its first choice under it; and
+the largest m that the census and the intersection lattice enumerate."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from contextlib import nullcontext
 from golomb.errors import BudgetExceededError
 
 DEFAULT_NODE_BUDGET = 10**9
+DEFAULT_M_BOUND = 6
 BUDGET_ENV_VAR = "GOLOMB_BUDGET"
 
 

@@ -11,9 +11,8 @@ orientation is the same thing as a strict total order of the intervals
 extending containment and respecting the coupling.
 
 These orders index the cells the equal-sum hyperplanes cut the open
-simplex into. That is what gives a non-negative gap vector its
-multiplicity: the number of cell closures containing it, which is 1
-exactly for Golomb rulers.
+simplex into. A gap vector's multiplicity, the number of cell closures
+containing it, is counted from the intersection lattice in golomb.lattice.
 
 Enumeration runs in two stages. A depth-first search builds the order
 bottom-up: placing an interval next fixes its relative order against
@@ -32,24 +31,20 @@ The search runs in parts through config.run_parts, one per first placed
 interval, each counting that placement as its own node; the survivors
 reach the simplex only once the nodes of all parts have passed the budget.
 
-All per-m state, the census and the multiplicities looked up so far
-included once a caller needs them, lives on one record in one explicit
+The per-m tables the search reads live on one record in one explicit
 cache, `_TABLES`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate
 
 from golomb.arrangement import Interval, golomb_hyperplanes, hyperplane_blocks
-from golomb.config import resolve_budget, run_parts
+from golomb.config import DEFAULT_M_BOUND, resolve_budget, run_parts
 from golomb.errors import BudgetExceededError
 from golomb.mixed_graphs import MixedGraph
 from golomb.simplex import strict_cone_feasibility
-
-DEFAULT_M_BOUND = 6
 
 
 def consecutive_subsets(m: int) -> tuple[Interval, ...]:
@@ -114,13 +109,6 @@ class _Tables:
     # additive sign implications, keyed by one premise hyperplane:
     # (premise sign, other hyperplane, its sign, forced hyperplane, forced sign)
     sum_rules: tuple[tuple[tuple[int, int, int, int, int], ...], ...]
-    # (orientations, their sign rows, each row's +1 positions as a bit mask,
-    # search nodes used), once a caller needs them
-    census: tuple[
-        tuple[GolombOrientation, ...], tuple[tuple[int, ...], ...], tuple[int, ...], int
-    ] | None = None
-    # point sign vector -> multiplicity, read off the census rows once each
-    memo: dict[tuple[int, ...], int] = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -347,26 +335,6 @@ def _sign_row(tables: _Tables, order) -> tuple[int, ...]:
     return tuple(-1 if pos[left] < pos[right] else 1 for left, right in tables.hyper_sides)
 
 
-def _region_data(
-    m: int, budget: int | None = None
-) -> tuple[tuple[GolombOrientation, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Orientations, their sign rows and the rows' +1 positions as bit masks,
-    computed once per m by a serial census and kept on the tables. Every
-    call honors its budget: one below the nodes that census used raises, as
-    a fresh census would."""
-    limit = resolve_budget(budget)
-    tables = _tables(m)
-    if tables.census is None:
-        orientations, nodes = _census(m, limit)
-        rows = tuple(_sign_row(tables, o.order) for o in orientations)
-        plus = tuple(sum(1 << k for k, s in enumerate(row) if s > 0) for row in rows)
-        tables.census = (orientations, rows, plus, nodes)
-    orientations, rows, plus, nodes = tables.census
-    if nodes > limit:
-        raise BudgetExceededError(limit, "admissible orientation search")
-    return orientations, rows, plus
-
-
 def region_sign_vector(orientation: GolombOrientation) -> dict[tuple[int, ...], int]:
     """Map each canonical hyperplane normal to the strict side (-1 or +1 for
     normal . z negative or positive) of the cell this orientation describes."""
@@ -375,61 +343,6 @@ def region_sign_vector(orientation: GolombOrientation) -> dict[tuple[int, ...], 
     if len(order) != tables.n or set(order) != set(tables.intervals):
         raise ValueError("orientation does not rank every proper consecutive subset exactly once")
     return dict(zip(tables.hyperplanes, _sign_row(tables, order)))
-
-
-def _point_signs(tables: _Tables, gaps) -> tuple[int, ...]:
-    """Sign of normal . z for every hyperplane, from the prefix sums of z:
-    the normal's positive block sum minus its negative block sum."""
-    prefix = (0, *accumulate(gaps))
-    signs = []
-    for (a, b), (c, d) in tables.hyper_sides:
-        diff = prefix[b] - prefix[a - 1] - prefix[d] + prefix[c - 1]
-        signs.append((diff > 0) - (diff < 0))
-    return tuple(signs)
-
-
-def multiplicity(z, *, budget: int | None = None) -> int:
-    """Number of admissible orientations all of whose weak inequalities hold
-    at the non-negative gap vector z (cell closures containing z). Equals 1
-    exactly when z is a Golomb ruler; ties put z on a hyperplane and into
-    several closures."""
-    gaps = tuple(z)
-    if not gaps:
-        raise ValueError("z needs at least one entry")
-    if any(g < 0 for g in gaps):
-        raise ValueError("entries must be non-negative")
-    if not any(gaps):
-        raise ValueError("the all-zero vector is not a ruler of positive length")
-    return _multiplicities(len(gaps), budget)(gaps)
-
-
-def _multiplicities(m: int, budget: int | None = None):
-    """multiplicity for many non-negative gap vectors of length m,
-    unchecked: the rows are scanned once per distinct point sign vector,
-    whose count is kept on the tables for every later lookup, and the
-    census budget is checked once per call, here. The zero vector lies in
-    every closure, so its value is the number of cells."""
-    tables = _tables(m)
-    _, _, row_plus = _region_data(m, budget)
-    memo = tables.memo
-
-    def lookup(gaps) -> int:
-        point = _point_signs(tables, gaps)
-        count = memo.get(point)
-        if count is None:
-            # the closures that hold the point: every nonzero sign agrees,
-            # so the row's +1 positions match the point's on its support
-            plus = support = 0
-            for k, p in enumerate(point):
-                if p:
-                    support |= 1 << k
-                    if p > 0:
-                        plus |= 1 << k
-            count = sum(not (plus ^ row) & support for row in row_plus)
-            memo[point] = count
-        return count
-
-    return lookup
 
 
 def complement_orientation(orientation: GolombOrientation) -> GolombOrientation:

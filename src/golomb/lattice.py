@@ -22,11 +22,11 @@ some combination of its basis is positive in every coordinate.
 Zaslavsky's theorem for an arrangement restricted to an open convex set
 counts the cells of the orthant as the sum of |mu(0̂, u)| over these flats
 (1, 2, 10, 114, 2608 for m = 1..5), and the multiplicity of a non-negative
-gap vector z as that sum over the flats through z; weighted_counts sums it
-over the gap vectors of total t as sum over u of |mu(0̂, u)| * N_u(t),
-where N_u(t) counts the non-negative integer points of u with coordinate
-sum t. The quasipolynomial module explains why, and checks reciprocity
-with it.
+gap vector z as that sum over the flats through z, which `multiplicity`
+reads off the lattice; weighted_counts sums it over the gap vectors of
+total t as sum over u of |mu(0̂, u)| * N_u(t), where N_u(t) counts the
+non-negative integer points of u with coordinate sum t. The
+quasipolynomial module explains why, and checks reciprocity with it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from math import comb
 from operator import itemgetter
 
 from golomb.arrangement import golomb_hyperplanes
-from golomb.config import resolve_budget
+from golomb.config import DEFAULT_M_BOUND, resolve_budget
 from golomb.errors import BudgetExceededError
 from golomb.simplex import strict_cone_feasibility
 
@@ -45,7 +45,7 @@ Vector = tuple[int, ...]
 
 @dataclass(frozen=True)
 class Flat:
-    mask: int                   # bit k: hyperplane k of golomb_hyperplanes(m) holds the flat
+    mask: int                   # bit k: hyperplane k of the lattice holds the flat
     basis: tuple[Vector, ...]   # a basis of the flat's integer points
     mu: int                     # mu(0̂, u)
 
@@ -56,8 +56,13 @@ class Flat:
 
 @dataclass(frozen=True)
 class Lattice:
-    flats: tuple[Flat, ...]  # 0̂ first, then by rank
-    nodes: int               # the joins the build spent
+    hyperplanes: tuple[Vector, ...]  # golomb_hyperplanes(m), which the masks index
+    flats: tuple[Flat, ...]          # 0̂ first, then by rank
+    nodes: int                       # the joins the build spent
+
+
+# m -> its lattice; the only cache in this module
+_LATTICES: dict[int, Lattice] = {}
 
 
 def _split(columns, value) -> tuple[Vector | None, list[Vector]]:
@@ -94,10 +99,24 @@ def orthant_lattice(m: int, *, budget: int | None = None) -> Lattice:
     """The flats of the equal-sum arrangement in R^m that meet the open
     orthant, with their Möbius values: R^m first, then rank by rank, each
     rank in the order its flats were first reached. The budget caps the
-    joins, and the first one above it raises."""
+    joins, and the first one above it raises; m above DEFAULT_M_BOUND is
+    refused before any work. The lattice is built once per m and kept; a
+    later call whose budget is below the joins that build spent raises as a
+    fresh build would."""
     if m < 1:
         raise ValueError("m must be >= 1")
+    if m > DEFAULT_M_BOUND:
+        raise ValueError(f"m={m} is above the enumeration bound {DEFAULT_M_BOUND}")
     limit = resolve_budget(budget)
+    lattice = _LATTICES.get(m)
+    if lattice is None:
+        lattice = _LATTICES[m] = _build(m, limit)
+    elif lattice.nodes > limit:
+        raise BudgetExceededError(limit, f"intersection lattice of the m={m} hyperplanes")
+    return lattice
+
+
+def _build(m: int, limit: int) -> Lattice:
     hypers = golomb_hyperplanes(m)
     # each basis column: its m coordinates, then its products with the
     # hyperplanes
@@ -156,14 +175,16 @@ def orthant_lattice(m: int, *, budget: int | None = None) -> Lattice:
             total += mu[low.bit_length() - 1]
         mu[u] = -total
     return Lattice(
+        hypers,
         tuple(Flat(mask, tuple(c[:m] for c in basis), mu) for mask, basis, mu in zip(masks, bases, mu)),
         nodes,
     )
 
 
-def _level_counter(basis):
+def _level_counter(basis, charge):
     """t -> N_u(t), the non-negative integer points of the flat with this
-    basis whose coordinates sum to t.
+    basis whose coordinates sum to t. Before a free coordinate is walked,
+    charge(n) is told the n values it will take.
 
     Reducing the basis against the coordinate sum gives one column b with
     sum g > 0 and columns of sum 0; the points of sum t are then
@@ -202,7 +223,9 @@ def _level_counter(basis):
             return count_last(z)
         j, p = walked[k]
         total = 0
-        for w in range(-(z[j] // p[j]), (t - z[j]) // p[j] + 1):
+        values = range(-(z[j] // p[j]), (t - z[j]) // p[j] + 1)
+        charge(len(values))
+        for w in values:
             total += walk([a + w * b for a, b in zip(z, p)], k + 1, t)
         return total
 
@@ -217,8 +240,44 @@ def _level_counter(basis):
     return count
 
 
-def weighted_counts(lattice: Lattice, levels) -> dict[int, int]:
+def weighted_counts(lattice: Lattice, levels, limit: int) -> dict[int, int]:
     """sum over the flats u of |mu(0̂, u)| * N_u(t) for each t in levels:
-    the multiplicities of the non-negative gap vectors of total t, summed."""
-    terms = [(abs(f.mu), _level_counter(f.basis)) for f in lattice.flats]
-    return {t: sum(weight * count(t) for weight, count in terms) for t in levels}
+    the multiplicities of the non-negative gap vectors of total t, summed.
+    Each flat costs one node per level, and each value a walk gives a free
+    coordinate one more; the first total above limit raises."""
+    nodes = 0
+
+    def charge(n: int) -> None:
+        nonlocal nodes
+        nodes += n
+        if nodes > limit:
+            raise BudgetExceededError(limit, "golomb reciprocity sum")
+
+    terms = [(abs(f.mu), _level_counter(f.basis, charge)) for f in lattice.flats]
+    sums = {}
+    for t in levels:
+        charge(len(terms))
+        sums[t] = sum(weight * count(t) for weight, count in terms)
+    return sums
+
+
+def multiplicity(z, *, budget: int | None = None) -> int:
+    """Number of cell closures containing the non-negative gap vector z: the
+    sum of |mu(0̂, u)| over the lattice's flats through z (the
+    quasipolynomial module says why). A positive z has multiplicity 1
+    exactly when it is a Golomb ruler; ties put z on a hyperplane and into
+    several closures. The budget and the bound on m are orthant_lattice's.
+    A lookup scans every flat, 1305 at m = 5 and 36 519 at m = 6, and keeps
+    no memo."""
+    gaps = tuple(z)
+    if not gaps:
+        raise ValueError("z needs at least one entry")
+    if any(g < 0 for g in gaps):
+        raise ValueError("entries must be non-negative")
+    if not any(gaps):
+        raise ValueError("the all-zero vector is not a ruler of positive length")
+    lattice = orthant_lattice(len(gaps), budget=budget)
+    on = sum(
+        1 << k for k, h in enumerate(lattice.hyperplanes) if not sum(a * b for a, b in zip(h, gaps))
+    )
+    return sum(abs(f.mu) for f in lattice.flats if not f.mask & ~on)

@@ -37,13 +37,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import Iterable, Mapping
 
 from golomb.arrangement import period_bound
 from golomb.config import resolve_budget
 from golomb.errors import (
-    BudgetExceededError,
     InconsistentValuesError,
     InsufficientPointsError,
     LeadingCoefficientError,
@@ -56,7 +55,7 @@ from golomb.ratpoly import (
     poly_degree,
     poly_eval,
 )
-from golomb.rulers import golomb_counts
+from golomb.rulers import check_node_floor, golomb_counts
 
 
 @dataclass(frozen=True)
@@ -203,20 +202,21 @@ def reciprocity_check_golomb(
     equal-sum arrangement that meet the open orthant, with N_u(t) the
     non-negative integer points of u of sum t: mult(z) is sum |mu(0̂, u)|
     over those flats through z (see the module docstring). Negative t is
-    refused, and the C(t+m-2, m-2) lines of the simplex at each distinct
-    level (none for m = 1), summed as the cost of the sum, are checked
-    against the budget before any other work; the budget then caps the
-    ruler search, the period bound and the joins of the lattice build."""
+    refused before any work. The budget caps, each on its own, the period
+    bound, the ruler search, the joins of the lattice build and the sum
+    (one node per flat and distinct level, plus one per value a flat's walk
+    visits; see lattice.weighted_counts). The cheap refusals come first:
+    the period bound's subset count, then the ruler search's node floor
+    for the sample range; then the lattice and the sum, and only then the
+    ruler search and the interpolation of the quasipolynomial."""
     t_values = list(t_values)
     if any(t < 0 for t in t_values):
         raise ValueError("t values must be >= 0")
-    levels = set(t_values)
-    lines = sum(comb(t + m - 2, m - 2) for t in levels) if m >= 2 else 0
     limit = resolve_budget(budget)
-    if lines > limit:
-        raise BudgetExceededError(limit, f"{lines} lines of the golomb reciprocity sum")
-    q = golomb_quasipolynomial(m, budget=budget)
+    period = period_bound(m, budget=budget)
+    check_node_floor(m, 1, period * m, limit)
+    rhs = weighted_counts(orthant_lattice(m, budget=budget), set(t_values), limit)
+    q = golomb_quasipolynomial(m, period, budget=budget)
     sign = (-1) ** (m - 1)
-    rhs = weighted_counts(orthant_lattice(m, budget=budget), levels)
     rows = tuple(ReciprocityRow(t, sign * q.evaluate(-t), rhs[t]) for t in t_values)
     return GolombReciprocityReport(m, rows)

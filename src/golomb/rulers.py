@@ -141,12 +141,8 @@ def _run_search(m: int, t_min: int, t_max: int, node_budget: int, jobs: int, col
     else the counts by length 0 .. t_max, and the nodes spent: one search
     per first gap, run by config.run_parts once the budget covers
     _node_floor, joined in first-gap order or added as bit-sliced counters."""
+    check_node_floor(m, t_min, t_max, node_budget, collect)
     halve = not collect and m >= 2
-    floor = _node_floor(m, t_min, t_max, halve)
-    if floor > node_budget:
-        raise BudgetExceededError(
-            node_budget, f"golomb ruler search (at least {floor} nodes for t = {t_min}..{t_max})"
-        )
     # each part's rulers join the list, or its counters ripple into the
     # total from their own plane, as the part arrives; the total, at most
     # the nodes and so the budget, is read once
@@ -176,6 +172,19 @@ def _run_search(m: int, t_min: int, t_max: int, node_budget: int, jobs: int, col
             # with halving each counted ruler stands for two
             counts[low.bit_length() - 1] += (2 if halve else 1) << i
     return counts, nodes
+
+
+def check_node_floor(m: int, t_min: int, t_max: int, node_budget: int, collect: bool = False) -> None:
+    """Raise BudgetExceededError when the search over lengths t_min .. t_max,
+    counting as golomb_counts does or collecting, needs more nodes than
+    node_budget by _node_floor. Every search makes this check before its
+    parts run; a caller with other work to do before a count can make it
+    first."""
+    floor = _node_floor(m, t_min, t_max, not collect and m >= 2)
+    if floor > node_budget:
+        raise BudgetExceededError(
+            node_budget, f"golomb ruler search (at least {floor} nodes for t = {t_min}..{t_max})"
+        )
 
 
 def _node_floor(m: int, t_min: int, t_max: int, halve: bool) -> int:

@@ -13,7 +13,8 @@ import pytest
 
 from golomb.arrangement import iop_vertices, period_bound
 from golomb.fixtures import KNOWN_COUNTS_M3, REGION_COUNTS, TRIANGLE
-from golomb.golomb_graph import enumerate_constrained_orientations, multiplicity
+from golomb.golomb_graph import enumerate_constrained_orientations
+from golomb.lattice import multiplicity
 from golomb.mixed_graphs import (
     MixedGraph,
     chromatic_polynomial,

@@ -11,20 +11,19 @@ from golomb.cli import main
 from golomb.errors import BudgetExceededError
 from golomb.golomb_graph import (
     GolombOrientation,
-    _point_signs,
-    _region_data,
     _tables,
     build_golomb_graph,
     complement_orientation,
     consecutive_subsets,
     enumerate_constrained_orientations,
     interval_label,
-    multiplicity,
     region_sign_vector,
 )
+from golomb.lattice import multiplicity
 from golomb.rulers import enumerate_golomb_rulers, is_golomb
 from golomb.simplex import strict_cone_feasibility
 
+from census import census_multiplicities, census_rows, point_signs
 from compositions import positive_compositions
 from normals import canonical_normal
 
@@ -259,45 +258,6 @@ def test_enumeration_bound_and_budget():
                 enumerate_constrained_orientations(4, budget=budget, jobs=jobs)
 
 
-def test_cached_census_honors_a_later_budget(monkeypatch):
-    from golomb.golomb_graph import _TABLES, _census
-
-    monkeypatch.delitem(_TABLES, 4, raising=False)
-    assert multiplicity((1, 2, 3, 5)) == 4  # the m=4 census is now cached
-    with pytest.raises(BudgetExceededError):
-        multiplicity((1, 2, 3, 5), budget=10)
-    _, nodes = _census(4, 10**9)
-    assert multiplicity((1, 2, 3, 5), budget=nodes) == 4
-    assert len(enumerate_constrained_orientations(4, budget=nodes)) == 114
-    for call in (
-        lambda: multiplicity((1, 2, 3, 5), budget=nodes - 1),
-        lambda: enumerate_constrained_orientations(4, budget=nodes - 1),
-    ):
-        with pytest.raises(BudgetExceededError):
-            call()
-
-
-def test_multiplicity_scans_the_census_rows_once_per_sign_vector(monkeypatch):
-    tables = _tables(4)
-    _, _, row_plus = _region_data(4)
-    scans = []
-
-    class CountedRows(tuple):
-        def __iter__(self):
-            scans.append(1)
-            return super().__iter__()
-
-    monkeypatch.setattr(tables, "memo", {})
-    monkeypatch.setattr(tables, "census", (*tables.census[:2], CountedRows(row_plus), tables.census[3]))
-    # a gap vector and its double lie on the same side of every hyperplane
-    assert multiplicity((1, 2, 3, 5)) == 4
-    assert multiplicity((2, 4, 6, 10)) == 4
-    assert len(scans) == 1
-    # the memo answers, but every call still checks its budget
-    with pytest.raises(BudgetExceededError):
-        multiplicity((2, 4, 6, 10), budget=10)
-
-
 def test_parallel_census_fails_before_the_simplex(monkeypatch):
     import golomb.golomb_graph as golomb_graph
 
@@ -316,14 +276,12 @@ def test_point_signs_are_the_signs_of_the_dot_products(gaps):
     for h in golomb_hyperplanes(len(gaps)):
         d = sum(c * g for c, g in zip(h, gaps))
         expected.append(0 if d == 0 else (1 if d > 0 else -1))
-    assert _point_signs(_tables(len(gaps)), gaps) == tuple(expected)
+    assert point_signs(len(gaps), gaps) == tuple(expected)
 
 
 def test_memoised_multiplicities_match_multiplicity():
-    from golomb.golomb_graph import _multiplicities
-
     for m, t_max in [(2, 12), (3, 10), (4, 8)]:
-        lookup = _multiplicities(m)
+        lookup = census_multiplicities(m)
         for t in range(1, t_max + 1):
             for z in product(range(t + 1), repeat=m):
                 if sum(z) == t:
@@ -331,8 +289,8 @@ def test_memoised_multiplicities_match_multiplicity():
 
     # m = 5 on a sample, against the definition: small entries put most
     # points on several hyperplanes at once
-    lookup = _multiplicities(5)
-    orientations = _region_data(5)[0]
+    lookup = census_multiplicities(5)
+    orientations = census_rows(5)[0]
     rng = random.Random(5)
     for _ in range(40):
         z = tuple(rng.randrange(4) for _ in range(5))
@@ -341,11 +299,9 @@ def test_memoised_multiplicities_match_multiplicity():
 
 
 def test_zero_vector_lies_in_every_closure():
-    from golomb.golomb_graph import _multiplicities
-
     for m in range(1, 5):
         cells = len(enumerate_constrained_orientations(m))
-        assert _multiplicities(m)((0,) * m) == cells
+        assert census_multiplicities(m)((0,) * m) == cells
 
 
 def multiplicity_by_definition(z, orientations):
@@ -460,9 +416,7 @@ class RealizabilityReport:
         return not self.unrealized and not self.stray_sign_vectors
 
 
-def check_realizability(
-    m: int, *, length_ceiling: int = 60, budget: int | None = None
-) -> RealizabilityReport:
+def check_realizability(m: int, *, length_ceiling: int = 60) -> RealizabilityReport:
     """Witness every admissible orientation with an integer Golomb ruler whose
     strict sign pattern realizes its cell, sweeping lengths upward until all
     are seen or the ceiling is reached.
@@ -471,8 +425,7 @@ def check_realizability(
     pattern seen on a ruler that matches no orientation would falsify the
     cell/orientation correspondence at this m and is reported as stray.
     """
-    tables = _tables(m)
-    orientations, sign_rows, _ = _region_data(m, budget)
+    orientations, sign_rows, _ = census_rows(m)
     by_signs = dict(zip(sign_rows, orientations))
     assert len(by_signs) == len(orientations), "sign vectors must be pairwise distinct"
     realized: set[tuple[int, ...]] = set()
@@ -480,8 +433,8 @@ def check_realizability(
     searched = 0
     for t in range(1, length_ceiling + 1):
         searched = t
-        for gaps in enumerate_golomb_rulers(m, t, budget=budget):
-            row = _point_signs(tables, gaps)
+        for gaps in enumerate_golomb_rulers(m, t):
+            row = point_signs(m, gaps)
             if row in by_signs:
                 realized.add(row)
             else:

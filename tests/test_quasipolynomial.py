@@ -9,7 +9,6 @@ from golomb.errors import (
     InsufficientPointsError,
     LeadingCoefficientError,
 )
-from golomb.golomb_graph import _multiplicities
 from golomb.quasipolynomial import (
     Quasipolynomial,
     golomb_quasipolynomial,
@@ -18,6 +17,7 @@ from golomb.quasipolynomial import (
 )
 from golomb.rulers import count_golomb_rulers
 
+from census import census_multiplicities
 from compositions import line_forms, multiplicity_sum, weighted_level
 
 # the m=3 counting quasipolynomial, period 12, constant term first
@@ -198,12 +198,12 @@ def test_negative_t_is_refused_before_any_work(monkeypatch):
 
 
 def line_sum(m, t):
-    return weighted_level(m, t, line_forms(m), _multiplicities(m))
+    return weighted_level(m, t, line_forms(m), census_multiplicities(m))
 
 
 def test_line_sums_match_the_composition_oracle():
     for m, t_max in [(1, 40), (2, 30), (3, 25), (4, 20)]:
-        lookup = _multiplicities(m)
+        lookup = census_multiplicities(m)
         for t in range(t_max + 1):
             assert line_sum(m, t) == multiplicity_sum(m, t, lookup), (m, t)
 
@@ -220,7 +220,7 @@ def test_reciprocity_rows_match_the_oracle_in_order(m, t_values, data):
     report = reciprocity_check_golomb(m, t_values)
     assert report.ok
     assert [row.t for row in report.rows] == t_values
-    lookup = _multiplicities(m)
+    lookup = census_multiplicities(m)
     for row in report.rows:
         assert row.rhs == multiplicity_sum(m, row.t, lookup)
 
@@ -228,7 +228,7 @@ def test_reciprocity_rows_match_the_oracle_in_order(m, t_values, data):
 @settings(max_examples=25)
 @given(st.integers(min_value=0, max_value=40))
 def test_line_sum_m4_matches_the_oracle(t):
-    assert line_sum(4, t) == multiplicity_sum(4, t, _multiplicities(4))
+    assert line_sum(4, t) == multiplicity_sum(4, t, census_multiplicities(4))
 
 
 def test_pinned_multiplicity_sums():
@@ -242,18 +242,44 @@ def test_reciprocity_budget_is_checked_before_the_sum(monkeypatch, capsys):
     import golomb.quasipolynomial as quasipolynomial
     from golomb.cli import main
 
-    # m = 2 walks one line per level, and its census and ruler search fit too
-    assert reciprocity_check_golomb(2, range(100), budget=100).ok
-    with pytest.raises(BudgetExceededError):
-        reciprocity_check_golomb(2, range(100), budget=99)
+    # m = 2 has two flats, both closed form: two nodes per level, 200 for
+    # t = 0..99; its lattice build and ruler search fit too
+    assert reciprocity_check_golomb(2, range(100), budget=200).ok
+    with pytest.raises(BudgetExceededError, match="golomb reciprocity sum"):
+        reciprocity_check_golomb(2, range(100), budget=199)
+    # m = 3 has nine flats, none walked: 900 nodes for t = 0..99 and 3600
+    # for t = 0..399, against the 3525 of its ruler search, whose floor of
+    # 2112 is checked before the sum
+    argv = ["reciprocity", "golomb", "--m", "3", "--t-min", "0", "--t-max", "99", "--budget"]
+    assert main([*argv, "4000"]) == 0
+    assert "t=99: lhs=5202 rhs=5202 ok" in capsys.readouterr().out
+    argv[7] = "399"
+    assert main([*argv, "3600"]) == 0
+    assert "t=399: lhs=80802 rhs=80802 ok" in capsys.readouterr().out
 
     def no_work(*args, **kwargs):
         raise AssertionError("the quasipolynomial was built although the sum is over budget")
 
     monkeypatch.setattr(quasipolynomial, "golomb_quasipolynomial", no_work)
-    # m = 3 walks t + 1 lines at level t: 5050 for t = 0..99
-    with pytest.raises(BudgetExceededError, match="5050 lines"):
-        reciprocity_check_golomb(3, range(100), budget=5049)
-    argv = ["reciprocity", "golomb", "--m", "3", "--t-min", "0", "--t-max", "99", "--budget", "5049"]
-    assert main(argv) == 2
+    with pytest.raises(BudgetExceededError, match="golomb reciprocity sum"):
+        reciprocity_check_golomb(3, range(400), budget=3599)
+    assert main([*argv, "3599"]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_requests_out_of_reach_are_refused_before_the_lattice(monkeypatch, capsys):
+    import golomb.quasipolynomial as quasipolynomial
+    from golomb.cli import main
+
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("the lattice was built for a request the budget refuses")
+
+    monkeypatch.setattr(quasipolynomial, "orthant_lattice", no_lattice)
+    # m = 7: the period bound would try C(133, 6) constraint subsets
+    assert main(["reciprocity", "golomb", "--m", "7", "--t", "0"]) == 2
+    assert "iop_vertices(m=7)" in capsys.readouterr().err
+    # m = 4: the ruler search over t = 1..3360 needs at least 2.6e12 nodes,
+    # whatever levels the sum would cover
+    argv = ["reciprocity", "golomb", "--m", "4", "--t-min", "0", "--t-max", "100000"]
+    assert main(argv) == 2
+    assert "golomb ruler search (at least 2603243205420 nodes" in capsys.readouterr().err
