@@ -4,24 +4,26 @@ For gap vectors z in R^m, every pair of disjoint proper consecutive index
 intervals (U, V) cuts out the linear hyperplane sum(z_U) = sum(z_V). This
 module builds that family, one normal 1_U - 1_V per block pair, enumerates
 the vertices of the subdivision it induces on the simplex
-{z >= 0, sum z = 1} by integer exterior products over a depth-first search
-of the constraint subsets that prunes every dependent prefix, and reports
-the lcm of the vertex coordinate denominators. The period of the ruler
-counting quasipolynomial divides that lcm; equality is observed for small
-m but never asserted.
+{z >= 0, sum z = 1} by unimodular column reduction over a depth-first
+search of the constraint subsets that prunes every dependent prefix, and
+reports the lcm of the vertex coordinate denominators. The period of the
+ruler counting quasipolynomial divides that lcm; equality is observed for
+small m but never asserted. The same column reduction, _split, joins the
+flats of the intersection lattice in golomb.lattice.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, lcm
+from operator import mul
 
 from golomb.config import resolve_budget
 from golomb.errors import BudgetExceededError
 from golomb.rulers import Interval, dpcs_pairs
 
 Normal = tuple[int, ...]
+Vector = tuple[int, ...]
 Point = tuple[Fraction, ...]
 
 
@@ -46,46 +48,34 @@ def golomb_hyperplanes(m: int) -> tuple[Normal, ...]:
     return tuple(_normal(blocks, m) for blocks in hyperplane_blocks(m))
 
 
-def _wedge_terms(m: int) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...]:
-    """How appending a row maps a k-vector to a (k+1)-vector, for k < m - 1.
-
-    A k-vector lists the Plücker coordinates of k rows: the k x k
-    minors on the column sets of size k, in lexicographic order. Expanding
-    the new last row gives the minor on columns t_0 < ... < t_k as
-    sum_i (-1)^(k+i) row[t_i] * (minor on the columns without t_i). Entry
-    [k][s] lists the (index, sign, column) triples of that sum.
-    """
-    levels = []
-    for k in range(m - 1):
-        index = {cols: i for i, cols in enumerate(combinations(range(m), k))}
-        levels.append(tuple(
-            tuple(
-                (index[cols[:i] + cols[i + 1:]], (-1) ** (k + i), col)
-                for i, col in enumerate(cols)
-            )
-            for cols in combinations(range(m), k + 1)
-        ))
-    return tuple(levels)
-
-
-def _wedge(p, row, level) -> list[int]:
-    """The exterior product of the rows behind `p` with one more row.
-
-    A list, not a tuple: CPython keeps up to 2000 freed tuples of each small
-    size for reuse, and the search's short-lived tuples held about 0.1 MiB.
-    """
-    return [
-        sum(sign * row[col] * p[i] for i, sign, col in terms if row[col]) for terms in level
-    ]
-
-
-def _cofactors(p) -> list[int]:
-    """Cofactors c of the first row of [1 ... 1; rows], from the (m-1)-vector
-    of the rows: c_j = (-1)^j times the minor without column j, so the
-    determinant is sum(c) and a unique solution of [1 ... 1; rows] z = e_1
-    is z = c / sum(c)."""
-    m = len(p)
-    return [-p[m - 1 - j] if j % 2 else p[m - 1 - j] for j in range(m)]
+def _split(columns, value) -> tuple[Vector | None, list[Vector]]:
+    """Unimodular column reduction of `columns` against a linear map, value:
+    the columns become one pivot, whose value is the gcd g > 0 of the
+    values, and columns on which the map vanishes; together they span the
+    same lattice. The pivot is None when the map vanishes on every column."""
+    rest, live = [], []
+    for c in columns:
+        v = value(c)
+        if v:
+            live.append((v, c))
+        else:
+            rest.append(c)
+    while len(live) > 1:
+        live.sort(key=lambda vc: abs(vc[0]))
+        v0, c0 = live[0]
+        kept = [live[0]]
+        for v, c in live[1:]:
+            q = v // v0
+            c = tuple(a - q * b for a, b in zip(c, c0))
+            if v - q * v0:
+                kept.append((v - q * v0, c))
+            else:
+                rest.append(c)
+        live = kept
+    if not live:
+        return None, rest
+    v, c = live[0]
+    return (c if v > 0 else tuple(-a for a in c)), rest
 
 
 def iop_vertices(m: int, *, budget: int | None = None) -> tuple[Point, ...]:
@@ -97,8 +87,10 @@ def iop_vertices(m: int, *, budget: int | None = None) -> tuple[Point, ...]:
     empty for m = 1, and m < 1 is refused.
 
     The subsets are searched depth first in index order, each node carrying
-    the integer exterior product of its rows; a zero product is a dependent
-    prefix and is pruned with every extension. The budget caps the number
+    a basis of the integer points of its rows' kernel, reduced by _split as
+    each row joins; a row without a pivot is a dependent prefix and is
+    pruned with every extension. At full depth the one column left is the
+    primitive direction of the candidate point. The budget caps the number
     of subsets, C(#constraints, m-1), and is checked before any work; no
     budget means that of resolve_budget, as for every other search.
     """
@@ -118,31 +110,29 @@ def iop_vertices(m: int, *, budget: int | None = None) -> tuple[Point, ...]:
         raise BudgetExceededError(
             limit, f"iop_vertices(m={m}): C({n}, {depth}) = {subsets} constraint subsets"
         )
-    levels = _wedge_terms(m)
-    found: set[tuple[int, ...]] = set()
+    found: set[Vector] = set()
 
-    def extend(p, start: int, k: int) -> None:
+    def extend(basis, start: int, k: int) -> None:
         for i in range(start, n - depth + k + 1):
-            q = _wedge(p, constraints[i], levels[k])
-            if not any(q):
+            row = constraints[i]
+            pivot, rest = _split(basis, lambda c: sum(map(mul, row, c)))
+            if pivot is None:
                 continue
             if k + 1 < depth:
-                extend(q, i + 1, k + 1)
+                extend(rest, i + 1, k + 1)
                 continue
-            c = _cofactors(q)
-            det = sum(c)
-            if det < 0:
-                c, det = [-x for x in c], -det
-            if det and min(c) >= 0:
-                # other subsets may cut out the same point at another scale
-                g = gcd(*c)
-                found.add(tuple(x // g for x in c))
+            (c,) = rest
+            if sum(c) < 0:
+                c = tuple(-x for x in c)
+            # other subsets may cut out the same point
+            if sum(c) and min(c) >= 0:
+                found.add(c)
 
-    extend([1], 0, 0)
+    extend([tuple(int(i == j) for j in range(m)) for i in range(m)], 0, 0)
     points = []
     for c in found:
-        det = sum(c)
-        points.append(tuple(Fraction(x, det) for x in c))
+        s = sum(c)
+        points.append(tuple(Fraction(x, s) for x in c))
     return tuple(sorted(points))
 
 

@@ -34,20 +34,19 @@ def resolve_budget(explicit: int | None = None) -> int:
     return DEFAULT_NODE_BUDGET
 
 
-def run_parts(search, parts, budget: int, jobs: int, where: str, take=None) -> tuple[list, int]:
-    """search(budget, part) -> (result, nodes) for every part, in order; the
-    results in that order and their node total. Given take, each result is
-    handed to take(result) as it arrives instead, and none is kept. With
-    jobs == 1, or one part, the parts run here, each on what is left of the
-    budget; with jobs > 1 they run on a fork pool, each on the whole
-    budget. Either way the first running total above the budget raises
-    BudgetExceededError, naming the whole budget, and that ends the pool."""
-    results, used = [], 0
-    take = take or results.append
+def run_parts(search, parts, budget: int, jobs: int, where: str, take) -> int:
+    """search(budget, part) -> (result, nodes) for every part, in order:
+    each result is handed to take(result) as it arrives, and the node total
+    is returned. With jobs == 1, or one part, the parts run here, each on
+    what is left of the budget; with jobs > 1 they run on a fork pool of at
+    most one worker per part, each on the whole budget. Either way the
+    first running total above the budget raises BudgetExceededError,
+    naming the whole budget, and that ends the pool."""
+    used = 0
     pool = None
     if jobs > 1 and len(parts) > 1:
         pool = multiprocessing.get_context("fork").Pool(
-            jobs, _WORKER.update, ({"search": search, "budget": budget},)
+            min(jobs, len(parts)), _WORKER.update, ({"search": search, "budget": budget},)
         )
     with pool or nullcontext():
         # lazy, so each part here is given what the parts before it left
@@ -60,7 +59,7 @@ def run_parts(search, parts, budget: int, jobs: int, where: str, take=None) -> t
                 take(result)
         except BudgetExceededError:
             raise BudgetExceededError(budget, where) from None
-    return results, used
+    return used
 
 
 # a pool worker's search and budget, set by the pool's initializer: they

@@ -319,8 +319,9 @@ def _census(m: int, limit: int, jobs: int = 1) -> tuple[tuple[GolombOrientation,
     if tables.n == 0:
         return (GolombOrientation(m, ()),), 0
     where = "admissible orientation search"
-    found, nodes = run_parts(partial(_enumerate_orders, m), range(tables.n), limit, jobs, where)
-    chunks, _ = run_parts(partial(_realizable_orders, m), found, limit, jobs, where)
+    found, chunks = [], []
+    nodes = run_parts(partial(_enumerate_orders, m), range(tables.n), limit, jobs, where, found.append)
+    run_parts(partial(_realizable_orders, m), found, limit, jobs, where, chunks.append)
     return tuple(
         GolombOrientation(m, tuple(tables.intervals[v] for v in o))
         for chunk in chunks for o in chunk

@@ -10,14 +10,15 @@ comes with its Möbius value mu(0̂, u), which the down-set determines.
 A flat is keyed by the bitmask of the hyperplanes that contain it, and
 carries an integer basis of its integer points Z^m ∩ u. Joining a
 hyperplane h reduces the basis columns against h by unimodular column
-operations (Euclid on the values h.b): one column keeps the gcd of the
-values, the others vanish on h and are a basis of the integer points of
-the join. Each column carries its products with every hyperplane, which
-the same column operations keep exact, so the hyperplanes holding a join
-are read off them. A hyperplane already in an earlier child's closure gives that
-child again and is skipped; every other join is a search node counted
-against the budget. A new flat costs one exact feasibility check, whether
-some combination of its basis is positive in every coordinate.
+operations (arrangement._split, Euclid on the values h.b): one column
+keeps the gcd of the values, the others vanish on h and are a basis of
+the integer points of the join. Each column carries its products with
+every hyperplane, which the same column operations keep exact, so the
+hyperplanes holding a join are read off them. A hyperplane already in an
+earlier child's closure gives that child again and is skipped; every
+other join is a search node counted against the budget. A new flat costs
+one exact feasibility check, whether some combination of its basis is
+positive in every coordinate.
 
 Zaslavsky's theorem for an arrangement restricted to an open convex set
 counts the cells of the orthant as the sum of |mu(0̂, u)| over these flats
@@ -35,12 +36,10 @@ from dataclasses import dataclass
 from math import comb
 from operator import itemgetter
 
-from golomb.arrangement import golomb_hyperplanes
+from golomb.arrangement import Vector, _split, golomb_hyperplanes
 from golomb.config import DEFAULT_M_BOUND, resolve_budget
 from golomb.errors import BudgetExceededError
 from golomb.simplex import strict_cone_feasibility
-
-Vector = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -63,36 +62,6 @@ class Lattice:
 
 # m -> its lattice; the only cache in this module
 _LATTICES: dict[int, Lattice] = {}
-
-
-def _split(columns, value) -> tuple[Vector | None, list[Vector]]:
-    """Unimodular column reduction of `columns` against a linear map, value:
-    the columns become one pivot, whose value is the gcd g > 0 of the
-    values, and columns on which the map vanishes; together they span the
-    same lattice. The pivot is None when the map vanishes on every column."""
-    rest, live = [], []
-    for c in columns:
-        v = value(c)
-        if v:
-            live.append((v, c))
-        else:
-            rest.append(c)
-    while len(live) > 1:
-        live.sort(key=lambda vc: abs(vc[0]))
-        v0, c0 = live[0]
-        kept = [live[0]]
-        for v, c in live[1:]:
-            q = v // v0
-            c = tuple(a - q * b for a, b in zip(c, c0))
-            if v - q * v0:
-                kept.append((v - q * v0, c))
-            else:
-                rest.append(c)
-        live = kept
-    if not live:
-        return None, rest
-    v, c = live[0]
-    return (c if v > 0 else tuple(-a for a in c)), rest
 
 
 def orthant_lattice(m: int, *, budget: int | None = None) -> Lattice:

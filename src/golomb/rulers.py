@@ -158,7 +158,7 @@ def _run_search(m: int, t_min: int, t_max: int, node_budget: int, jobs: int, col
                 i += 1
 
     firsts = range(1, _first_gap_bound(m, t_max, halve) + 1)
-    _, nodes = run_parts(
+    nodes = run_parts(
         partial(_search, m, t_min, t_max, collect=collect), firsts, node_budget, jobs,
         "golomb ruler search", rulers.extend if collect else add,
     )

@@ -3,15 +3,13 @@ import io
 import json
 from fractions import Fraction as F
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
 from golomb.arrangement import (
-    _cofactors,
-    _wedge,
-    _wedge_terms,
+    _split,
     golomb_hyperplanes,
     hyperplane_blocks,
     iop_vertices,
@@ -107,16 +105,21 @@ def integer_systems(draw):
 
 
 @given(integer_systems())
-def test_exterior_products_match_the_fraction_solve(system):
+def test_the_column_reduction_matches_the_fraction_solve(system):
     m, rows = system
-    levels = _wedge_terms(m)
-    p = [1]
+    basis = [tuple(int(i == j) for j in range(m)) for i in range(m)]
     for k, row in enumerate(rows):
-        p = _wedge(p, row, levels[k])
-        # the product vanishes exactly when the prefix is dependent
-        assert any(p) == (rank(rows[: k + 1]) == k + 1)
-    c = _cofactors(p)
+        pivot, basis = _split(basis, lambda c: sum(a * b for a, b in zip(row, c)))
+        # no pivot exactly when the row depends on the rows before it
+        assert (pivot is None) == (rank(rows[: k + 1]) == rank(rows[:k]))
+        assert all(sum(a * b for a, b in zip(r, c)) == 0 for r in rows[: k + 1] for c in basis)
+        assert len(basis) == m - rank(rows[: k + 1])
     sol = solve_unique([(1,) * m, *rows], [1] + [0] * (m - 1))
+    if len(basis) != 1:
+        assert sol is None
+        return
+    (c,) = basis
+    assert gcd(*c) == 1
     if sum(c) == 0:
         assert sol is None
     else:
@@ -140,12 +143,12 @@ def test_vertex_budget_counts_constraint_subsets():
 def test_vertex_budget_defaults_to_the_resolved_budget(monkeypatch):
     import golomb.arrangement as arrangement
 
-    def no_search(m):
+    def no_search(columns, value):
         raise AssertionError("the subset search started although it was over budget")
 
     # m = 7: C(133, 6) = 6 856 577 728 subsets, above the default 10^9
     monkeypatch.delenv("GOLOMB_BUDGET", raising=False)
-    monkeypatch.setattr(arrangement, "_wedge_terms", no_search)
+    monkeypatch.setattr(arrangement, "_split", no_search)
     for call in (iop_vertices, period_bound):
         with pytest.raises(BudgetExceededError, match=r"C\(133, 6\) = 6856577728"):
             call(7)

@@ -45,14 +45,26 @@ def test_flats_per_rank_and_mobius_signs():
         assert all((-1) ** f.rank * f.mu > 0 for f in flats)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
-def test_rays_are_the_interior_vertices(m):
+def lattice_rays(m):
+    """The rank m-1 flats of orthant_lattice(m), as points of the simplex."""
     rays = set()
     for f in orthant_lattice(m).flats:
         if f.rank == m - 1:
             (b,) = f.basis
             rays.add(tuple(Fraction(x, sum(b)) for x in b))
-    assert rays == {v for v in iop_vertices(m) if min(v) > 0}
+    return rays
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_rays_are_the_interior_vertices(m):
+    rays = {k: lattice_rays(k) for k in range(1, m + 1)}
+    vertices = iop_vertices(m)
+    assert rays[m] == {v for v in vertices if min(v) > 0}
+    # on the face of a support K the equal-sum family is the |K| family,
+    # so every vertex is a ray of the lattice of its support placed on K
+    for v in vertices:
+        on_support = tuple(x for x in v if x)
+        assert on_support in rays[len(on_support)]
 
 
 def det(rows) -> int:

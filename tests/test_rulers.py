@@ -441,9 +441,33 @@ def test_parts_run_on_what_is_left_of_the_budget(jobs):
 
     # in this process each part gets what the parts before it left; a pool
     # worker gets the whole budget, and a local function reaches it by fork
-    assert run_parts(search, [3, 4, 5], 12, jobs, "parts") == ([30, 40, 50], 12)
+    taken = []
+    assert run_parts(search, [3, 4, 5], 12, jobs, "parts", taken.append) == 12
+    assert taken == [30, 40, 50]
     if jobs == 1:
         assert budgets == [12, 9, 5]
     for budget in (11, 4):
         with pytest.raises(BudgetExceededError, match=f"budget of {budget} nodes exceeded in parts$"):
-            run_parts(search, [3, 4, 5], budget, jobs, "parts")
+            run_parts(search, [3, 4, 5], budget, jobs, "parts", taken.append)
+
+
+def test_the_pool_has_at_most_one_worker_per_part(monkeypatch):
+    import multiprocessing
+
+    from golomb import config
+
+    fork = multiprocessing.get_context("fork")
+    sizes = []
+
+    class Recorded:
+        def Pool(self, processes, *args):
+            sizes.append(processes)
+            return fork.Pool(processes, *args)
+
+    monkeypatch.setattr(config.multiprocessing, "get_context", lambda method: Recorded())
+    # g_3 at t = 10 splits into 4 first gaps; the m = 2 census into 2
+    # first placements, then 2 chunks for the simplex
+    assert golomb_counts(3, 10, 10, jobs=6) == golomb_counts(3, 10, 10)
+    assert sizes == [4]
+    assert len(golomb_graph.enumerate_constrained_orientations(2, jobs=6)) == 2
+    assert sizes == [4, 2, 2]
