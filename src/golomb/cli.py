@@ -7,6 +7,10 @@ and returns a JSON payload together with its text lines or CSV table; one
 writer serialises whichever format was asked for. JSON output is emitted
 with sorted keys and a fixed indent so it re-serializes byte for byte.
 
+`COMMANDS` is the one table of commands. The full parser and each
+command's own parser are both built from it; `main` builds only the one
+it needs (see `_parse`).
+
 Exit codes: 0 success, 1 usage or input error, 2 budget exhausted,
 3 verification mismatch.
 """
@@ -18,6 +22,7 @@ import csv
 import io
 import json
 import sys
+from typing import Callable, NamedTuple
 
 from golomb import arrangement, golomb_graph, mixed_graphs
 from golomb.config import BUDGET_ENV_VAR, resolve_budget
@@ -45,59 +50,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--budget", type=int, default=None,
-                        help=f"search node budget (default {BUDGET_ENV_VAR} or 10^9)")
-    common.add_argument("--jobs", type=int, default=1, help="parallel workers for enumerations")
-    common.add_argument("--output", default=None, help="write output to this path instead of stdout")
-
-    parser = _Parser(prog="golomb", description="Golomb ruler and mixed graph enumeration toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, formats, summary):
-        p = sub.add_parser(name, parents=[common], help=summary)
-        p.add_argument("--format", choices=formats, default="text")
-        p.set_defaults(func=func)
-        return p
-
-    p = add("golomb-count", _cmd_golomb_count, TABULAR, "count Golomb rulers by length")
-    p.add_argument("--m", type=int, help="number of gaps (markings minus one)")
-    p.add_argument("--t", type=int, help="single length")
-    p.add_argument("--t-min", type=int, help="first length of a range")
-    p.add_argument("--t-max", type=int, help="last length of a range")
-    p.add_argument("--check-table1", action="store_true",
-                   help="compare m=3 counts for t=6..35 against the bundled reference values")
-
-    p = add("quasipoly", _cmd_quasipoly, TEXT_JSON, "counting quasipolynomial with diagnostics")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--period", type=int, default=None, help="override the period hypothesis")
-
-    p = add("regions", _cmd_regions, TEXT_JSON, "admissible orientation census")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--list", action="store_true", help="include the orientations themselves")
-
-    p = add("reciprocity", _cmd_reciprocity, TEXT_JSON, "negative-argument checks")
-    p.add_argument("mode", choices=("golomb", "mixed"))
-    p.add_argument("--m", type=int, help="gap count (golomb mode)")
-    p.add_argument("--t", type=int, help="single argument")
-    p.add_argument("--t-min", type=int)
-    p.add_argument("--t-max", type=int)
-    p.add_argument("--input", help="mixed graph JSON file (mixed mode)")
-    p.add_argument("--fixture", choices=sorted(FIXTURE_GRAPHS), help="bundled graph (mixed mode)")
-
-    p = add("mixed", _cmd_mixed, TEXT_JSON, "mixed graph utilities")
-    p.add_argument("action", choices=("chroma", "orientations", "chromatic-number"))
-    p.add_argument("--input", help="mixed graph JSON file")
-    p.add_argument("--fixture", choices=sorted(FIXTURE_GRAPHS), help="bundled graph")
-    p.add_argument("--t", type=int, help="color count for chroma")
-
-    p = add("vertices", _cmd_vertices, TABULAR, "subdivision vertices and period bound")
-    p.add_argument("--m", type=int, required=True)
-
-    return parser
-
-
 def _t_values(args) -> list[int]:
     if args.t is not None:
         if args.t_min is not None or args.t_max is not None:
@@ -119,6 +71,15 @@ def _load_graph(args) -> mixed_graphs.MixedGraph:
         raise _UsageError("need --input FILE or --fixture NAME")
     with open(args.input) as handle:
         return mixed_graphs.from_json_dict(json.load(handle))
+
+
+def _golomb_count_arguments(p):
+    p.add_argument("--m", type=int, help="number of gaps (markings minus one)")
+    p.add_argument("--t", type=int, help="single length")
+    p.add_argument("--t-min", type=int, help="first length of a range")
+    p.add_argument("--t-max", type=int, help="last length of a range")
+    p.add_argument("--check-table1", action="store_true",
+                   help="compare m=3 counts for t=6..35 against the bundled reference values")
 
 
 def _cmd_golomb_count(args):
@@ -155,6 +116,11 @@ def _cmd_golomb_count(args):
     return (EXIT_MISMATCH if mismatches else EXIT_OK), payload, table
 
 
+def _quasipoly_arguments(p):
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--period", type=int, default=None, help="override the period hypothesis")
+
+
 def _cmd_quasipoly(args):
     bound = arrangement.period_bound(args.m, budget=args.budget)
     period = bound if args.period is None else args.period
@@ -182,6 +148,11 @@ def _cmd_quasipoly(args):
     return EXIT_OK, payload, table
 
 
+def _regions_arguments(p):
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--list", action="store_true", help="include the orientations themselves")
+
+
 def _cmd_regions(args):
     orientations = golomb_graph.enumerate_constrained_orientations(
         args.m, budget=args.budget, jobs=args.jobs
@@ -195,6 +166,16 @@ def _cmd_regions(args):
         if args.list:
             table += [" < ".join(labels) for labels in payload["orientations"]]
     return EXIT_OK, payload, table
+
+
+def _reciprocity_arguments(p):
+    p.add_argument("mode", choices=("golomb", "mixed"))
+    p.add_argument("--m", type=int, help="gap count (golomb mode)")
+    p.add_argument("--t", type=int, help="single argument")
+    p.add_argument("--t-min", type=int)
+    p.add_argument("--t-max", type=int)
+    p.add_argument("--input", help="mixed graph JSON file (mixed mode)")
+    p.add_argument("--fixture", choices=sorted(FIXTURE_GRAPHS), help="bundled graph (mixed mode)")
 
 
 def _cmd_reciprocity(args):
@@ -229,6 +210,13 @@ def _cmd_reciprocity(args):
             f"t={t}: lhs={lhs} rhs={rhs} {'ok' if ok else 'MISMATCH'}" for t, lhs, rhs, ok in rows
         ]
     return (EXIT_OK if report.ok else EXIT_MISMATCH), payload, table
+
+
+def _mixed_arguments(p):
+    p.add_argument("action", choices=("chroma", "orientations", "chromatic-number"))
+    p.add_argument("--input", help="mixed graph JSON file")
+    p.add_argument("--fixture", choices=sorted(FIXTURE_GRAPHS), help="bundled graph")
+    p.add_argument("--t", type=int, help="color count for chroma")
 
 
 def _cmd_mixed(args):
@@ -267,6 +255,10 @@ def _cmd_mixed(args):
     return EXIT_OK, payload, table
 
 
+def _vertices_arguments(p):
+    p.add_argument("--m", type=int, required=True)
+
+
 def _cmd_vertices(args):
     points = arrangement.iop_vertices(args.m, budget=args.budget)
     coordinates = [[format_fraction(c) for c in point] for point in points]
@@ -279,6 +271,59 @@ def _cmd_vertices(args):
         table = [f"m = {args.m}", f"period bound = {bound}"]
         table += ["(" + ", ".join(point) + ")" for point in coordinates]
     return EXIT_OK, payload, table
+
+
+class _Command(NamedTuple):
+    handler: Callable
+    formats: tuple[str, ...]
+    summary: str
+    add_arguments: Callable
+
+
+COMMANDS = {
+    "golomb-count": _Command(_cmd_golomb_count, TABULAR, "count Golomb rulers by length",
+                             _golomb_count_arguments),
+    "quasipoly": _Command(_cmd_quasipoly, TEXT_JSON, "counting quasipolynomial with diagnostics",
+                          _quasipoly_arguments),
+    "regions": _Command(_cmd_regions, TEXT_JSON, "admissible orientation census",
+                        _regions_arguments),
+    "reciprocity": _Command(_cmd_reciprocity, TEXT_JSON, "negative-argument checks",
+                            _reciprocity_arguments),
+    "mixed": _Command(_cmd_mixed, TEXT_JSON, "mixed graph utilities", _mixed_arguments),
+    "vertices": _Command(_cmd_vertices, TABULAR, "subdivision vertices and period bound",
+                         _vertices_arguments),
+}
+
+
+def _add_arguments(p: _Parser, command: _Command) -> _Parser:
+    """Give p the options every command shares, then the command's own."""
+    p.add_argument("--budget", type=int, default=None,
+                   help=f"search node budget (default {BUDGET_ENV_VAR} or 10^9)")
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers for enumerations")
+    p.add_argument("--output", default=None, help="write output to this path instead of stdout")
+    p.add_argument("--format", choices=command.formats, default="text")
+    command.add_arguments(p)
+    p.set_defaults(func=command.handler)
+    return p
+
+
+def build_parser() -> _Parser:
+    """The full parser: `golomb` with all six commands as subparsers."""
+    parser = _Parser(prog="golomb", description="Golomb ruler and mixed graph enumeration toolkit")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=command.summary), command)
+    return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse a command line with the named command's parser alone. The full
+    parser, which builds all six, is built only when argv[0] names no
+    command: no arguments, `-h`, or an unknown command."""
+    if argv and argv[0] in COMMANDS:
+        parser = _add_arguments(_Parser(prog=f"golomb {argv[0]}"), COMMANDS[argv[0]])
+        return parser.parse_args(argv[1:])
+    return build_parser().parse_args(argv)
 
 
 def _write(args, payload, table) -> None:
@@ -300,7 +345,7 @@ def _write(args, payload, table) -> None:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         args.budget = resolve_budget(args.budget)
         if args.jobs < 1:
             raise ValueError("jobs must be >= 1")

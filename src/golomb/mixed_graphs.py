@@ -170,18 +170,40 @@ def chromatic_polynomial(g: MixedGraph, *, budget: int | None = None) -> Poly:
 def enumerate_acyclic_orientations(g: MixedGraph, *, budget: int | None = None) -> tuple[Orientation, ...]:
     """Every orientation of the undirected edges (arcs stay fixed) whose
     union digraph is acyclic, in binary-counter order over the sorted edge
-    list. An orientation is the tuple of directed versions of g.edges."""
+    list: bit i of the counter reverses edge i. An orientation is the tuple
+    of directed versions of g.edges.
+
+    A depth-first search decides edge e-1 first and edge 0 last, which lists
+    in counter order. Each node keeps, per vertex, the bitmask of vertices
+    it reaches, so a choice that closes a directed cycle is dropped together
+    with everything below it."""
     limit = resolve_budget(budget)
     e = len(g.edges)
     if 2**e > limit:
         raise BudgetExceededError(limit, f"2^{e} edge orientations")
+
+    def joined(reach, a, b):  # reach once the arc a -> b is added
+        return [r | reach[b] if r >> a & 1 else r for r in reach]
+
+    reach = [1 << v for v in range(g.n + 1)]
+    for a, b in g.arcs:
+        if reach[b] >> a & 1:
+            return ()
+        reach = joined(reach, a, b)
     out = []
-    for bits in range(2**e):
-        oriented = tuple(
-            (v, u) if bits >> i & 1 else (u, v) for i, (u, v) in enumerate(g.edges)
-        )
-        if not _digraph_has_cycle(g.n, g.arcs + oriented):
-            out.append(oriented)
+    chosen: list[tuple[int, int]] = [(0, 0)] * e
+
+    def rec(i, reach):
+        if i < 0:
+            out.append(tuple(chosen))
+            return
+        u, v = g.edges[i]
+        for a, b in ((u, v), (v, u)):
+            if not reach[b] >> a & 1:
+                chosen[i] = (a, b)
+                rec(i - 1, joined(reach, a, b))
+
+    rec(e - 1, reach)
     return tuple(out)
 
 

@@ -1,8 +1,9 @@
 """Dense polynomials over exact rationals.
 
 Coefficient vectors are tuples of Fraction with the constant term first.
-Everything here is small and exact; interpolation never goes past degree
-eight in this package, so no effort is spent on being fast.
+Everything here is exact. Interpolation takes Newton divided differences
+and expands the Newton form by nested multiplication, O(d^2) Fraction
+operations for degree d.
 """
 
 from __future__ import annotations
@@ -18,23 +19,6 @@ def poly_eval(coeffs: Sequence[Fraction], t) -> Fraction:
     for c in reversed(coeffs):
         acc = acc * t + c
     return acc
-
-
-def poly_add(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
-    n = max(len(p), len(q))
-    return tuple(
-        (p[i] if i < len(p) else Fraction(0)) + (q[i] if i < len(q) else Fraction(0))
-        for i in range(n)
-    )
-
-
-def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return tuple(out)
 
 
 def poly_degree(p: Sequence[Fraction]) -> int:
@@ -53,18 +37,16 @@ def lagrange(points: Sequence[tuple[int, int]], degree: int) -> Poly:
     xs = [x for x, _ in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation abscissae must be distinct")
-    total: Poly = (Fraction(0),) * (degree + 1)
-    for i, (xi, yi) in enumerate(points):
-        num: Poly = (Fraction(1),)
-        den = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            num = poly_mul(num, (Fraction(-xj), Fraction(1)))
-            den *= xi - xj
-        scale = Fraction(yi) / den
-        total = poly_add(total, tuple(c * scale for c in num))
-    return total
+    coef = [Fraction(y) for _, y in points]
+    for j in range(1, degree + 1):  # coef[i] becomes f[x_0, ..., x_i]
+        for i in range(degree, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+    out = [coef[degree]]
+    for k in range(degree - 1, -1, -1):  # out <- out * (t - x_k) + coef[k]
+        x = xs[k]
+        shifted = [out[i - 1] - x * out[i] for i in range(1, len(out))]
+        out = [coef[k] - x * out[0], *shifted, out[-1]]
+    return tuple(out)
 
 
 def format_fraction(x: Fraction) -> str:

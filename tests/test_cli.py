@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import golomb.cli as cli
 import golomb.rulers as rulers
 from golomb.cli import main
 from golomb.fixtures import KNOWN_COUNTS_M3
@@ -164,6 +165,71 @@ def test_one_ruler_search_per_command(capsys, monkeypatch, argv):
     monkeypatch.setattr(rulers, "run_parts", counted)
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0 and len(calls) == 1
+
+
+@pytest.fixture
+def parsers_made(monkeypatch):
+    """The prog of every parser `main` builds, in the order built."""
+    made = []
+
+    class CountingParser(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    return made
+
+
+def test_a_command_builds_only_its_own_parser(capsys, parsers_made):
+    code, out, _ = run_cli(capsys, "quasipoly", "--m", "2", "--format", "json")
+    assert code == 0 and json.loads(out)["m"] == 2
+    assert parsers_made == ["golomb quasipoly"]
+
+
+FULL_PARSER = ["golomb", *(f"golomb {name}" for name in cli.COMMANDS)]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ((), "error: the following arguments are required: command\n"),
+        (("no-such-command", "--m", "2"),
+         "error: argument command: invalid choice: 'no-such-command' (choose from 'golomb-count',"
+         " 'quasipoly', 'regions', 'reciprocity', 'mixed', 'vertices')\n"),
+    ],
+    ids=["no-arguments", "unknown-command"],
+)
+def test_no_command_goes_through_the_full_parser(capsys, parsers_made, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", message)
+    assert parsers_made == FULL_PARSER
+
+
+def test_top_level_help_goes_through_the_full_parser(capsys, parsers_made):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["-h"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: golomb [-h]")
+    assert all(f"    {name} " in out for name in cli.COMMANDS)
+    assert parsers_made == FULL_PARSER
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quasipoly", "--m", "3", "--period", "12"],
+        ["golomb-count", "--m", "4", "--t-min", "1", "--t-max", "9", "--format", "csv"],
+        ["reciprocity", "mixed", "--fixture", "triangle", "--t", "2", "--budget", "99"],
+        ["mixed", "orientations", "--input", "g.json", "--jobs", "2", "--output", "o.txt"],
+        ["vertices", "--m", "4", "--form", "json"],
+    ],
+)
+def test_the_command_parser_reads_what_the_full_parser_reads(argv):
+    own = vars(cli._parse(argv))
+    full = vars(cli.build_parser().parse_args(argv))
+    assert full.pop("command") == argv[0]
+    assert own == full
 
 
 def test_reciprocity_mixed_input_file(tmp_path, capsys):

@@ -14,9 +14,18 @@ those of the serial rows above, before both split searches moved onto one
 driver; the last two reciprocity rows before the multiplicity sum moved
 from the orientation census to the intersection lattice); any change to a
 single byte of any format fails here.
+
+`HELP` pins the stdout of `golomb -h` and of `golomb <command> -h` for all
+six commands at COLUMNS=80, and `USAGE_ERRORS` the stderr of four usage
+errors: a missing `--m`, a bad `--format` choice, an unknown option and an
+unknown command. Both were taken before `main` began to parse a command
+line with the named command's parser alone. argparse words and lays out
+these texts differently from one Python version to the next, so they are
+pinned for CPython 3.11 only.
 """
 
 import hashlib
+import sys
 
 import pytest
 
@@ -82,3 +91,45 @@ def test_output_file_is_pinned(capsys, tmp_path):
     assert main(["regions", "--m", "3", "--list", "--output", str(target)]) == 0
     assert capsys.readouterr().out == ""
     assert digest(target.read_text()) == "da079715bd984eb11f6a978b19933f75058fd7b3fc3f461b983c0272184ea279"
+
+
+HELP = """
+-h               45a085906196439b549c7c328223a9da7bf56ef0de61c55f40965a14c616da2d
+golomb-count -h  d85c017f4a9b67a4395e867899082099d93958a48675c6bb79b9f111da261fb8
+quasipoly -h     91c8e76ec4ed84a0020fc1977e83ba83599302c6202a4872a2ebe584d7ffe3da
+regions -h       468807c46293da8a1e077b74db66be0e72e664ce8392a99814736d6e87778a1d
+reciprocity -h   fe8a8a7689e7cea3d47db5d397265e84feaf2081895ac60c6c36dae01b4e9998
+mixed -h         163da51c7f90b31607e410f1e0f1c1a30456bd06514edd68d956bcf8301504ca
+vertices -h      4218b5ec3851818427dc1247f3ea6bdc9c6c885c69fa529bac49c09be9b99959
+"""
+HELP_CASES = [line.rsplit(None, 1) for line in HELP.strip().splitlines()]
+USAGE_ERRORS = [
+    ("quasipoly", "error: the following arguments are required: --m\n"),
+    ("quasipoly --m 2 --format csv",
+     "error: argument --format: invalid choice: 'csv' (choose from 'text', 'json')\n"),
+    ("quasipoly --m 2 --bogus", "error: unrecognized arguments: --bogus\n"),
+    ("no-such-command",
+     "error: argument command: invalid choice: 'no-such-command' (choose from 'golomb-count',"
+     " 'quasipoly', 'regions', 'reciprocity', 'mixed', 'vertices')\n"),
+]
+argparse_of_311 = pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="help and usage texts pinned under CPython 3.11"
+)
+
+
+@argparse_of_311
+@pytest.mark.parametrize("command, sha256", HELP_CASES, ids=[case[0] for case in HELP_CASES])
+def test_help_is_pinned(capsys, monkeypatch, command, sha256):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(command.split())
+    assert exit_info.value.code == 0
+    out, err = capsys.readouterr()
+    assert digest(out) == sha256 and err == ""
+
+
+@argparse_of_311
+@pytest.mark.parametrize("command, message", USAGE_ERRORS, ids=[case[0] for case in USAGE_ERRORS])
+def test_usage_errors_are_pinned(capsys, command, message):
+    assert main(command.split()) == 1
+    assert capsys.readouterr() == ("", message)

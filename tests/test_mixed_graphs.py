@@ -206,6 +206,26 @@ def test_acyclic_orientations_counts():
     assert enumerate_acyclic_orientations(with_cycle) == ()
 
 
+def orientations_by_counter(g):
+    """The oracle: run a binary counter over the 2^e orientations, bit i
+    reversing edge i, and keep each whose union digraph is acyclic."""
+    out = []
+    for bits in range(2 ** len(g.edges)):
+        oriented = tuple(
+            (v, u) if bits >> i & 1 else (u, v) for i, (u, v) in enumerate(g.edges)
+        )
+        if is_acyclic_mixed(MixedGraph(g.n, arcs=g.arcs + oriented)):
+            out.append(oriented)
+    return tuple(out)
+
+
+def test_pruned_orientations_match_the_counter_in_order():
+    rng = random.Random(16)
+    for _ in range(150):
+        g = random_mixed_graph(rng, rng.randint(0, 7))
+        assert enumerate_acyclic_orientations(g) == orientations_by_counter(g)
+
+
 def test_compatible_orientation_counts_table_rows():
     for coloring, expected in TABLE_T2.items():
         assert compatible_orientation_count(TRIANGLE, coloring) == expected
@@ -280,7 +300,8 @@ def test_budget_limits():
     with pytest.raises(BudgetExceededError):
         count_proper_colorings(MixedGraph(5), 10, budget=100)
     big = MixedGraph(6, tuple(combinations(range(1, 7), 2)))
-    with pytest.raises(BudgetExceededError):
+    refusal = r"^search budget of 100 nodes exceeded in 2\^15 edge orientations$"
+    with pytest.raises(BudgetExceededError, match=refusal):
         enumerate_acyclic_orientations(big, budget=100)
 
 
