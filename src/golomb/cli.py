@@ -118,13 +118,11 @@ def _cmd_golomb_count(args):
 
 def _quasipoly_arguments(p):
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--period", type=int, default=None, help="override the period hypothesis")
 
 
 def _cmd_quasipoly(args):
-    bound = arrangement.period_bound(args.m, budget=args.budget)
-    period = bound if args.period is None else args.period
-    q = golomb_quasipolynomial(args.m, period_hint=period, budget=args.budget)
+    q = golomb_quasipolynomial(args.m, budget=args.budget)
+    bound = q.period  # always period_bound(m)
     leading = q.constituents[0][-1]  # identical across residues, already verified
     payload = {
         "m": args.m,

@@ -4,7 +4,6 @@ the largest m that the census and the intersection lattice enumerate."""
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from contextlib import nullcontext
 
@@ -45,6 +44,9 @@ def run_parts(search, parts, budget: int, jobs: int, where: str, take) -> int:
     used = 0
     pool = None
     if jobs > 1 and len(parts) > 1:
+        # imported here, so a serial run never loads multiprocessing
+        import multiprocessing
+
         pool = multiprocessing.get_context("fork").Pool(
             min(jobs, len(parts)), _WORKER.update, ({"search": search, "budget": budget},)
         )

@@ -12,9 +12,6 @@ KNOWN_COUNTS_M3 = {
     31: 390, 32: 392, 33: 450, 34: 448, 35: 510,
 }
 
-# Admissible orientation counts (cells of the subdivided simplex) for m = 1..6.
-REGION_COUNTS = {1: 1, 2: 2, 3: 10, 4: 114, 5: 2608, 6: 107498}
-
 # A triangle with one arc 1 -> 2 and undirected edges {1,3}, {2,3}.
 TRIANGLE = MixedGraph(3, edges=((1, 3), (2, 3)), arcs=((1, 2),))
 

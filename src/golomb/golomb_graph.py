@@ -76,9 +76,6 @@ class GolombOrientation:
     def labels(self) -> tuple[str, ...]:
         return tuple(interval_label(iv) for iv in self.order)
 
-    def __str__(self) -> str:
-        return " < ".join(self.labels())
-
 
 def build_golomb_graph(m: int) -> MixedGraph:
     """The complete mixed graph on consecutive_subsets(m): vertex i+1 is the
@@ -101,8 +98,6 @@ def build_golomb_graph(m: int) -> MixedGraph:
 class _Tables:
     intervals: tuple[Interval, ...]
     hyperplanes: tuple[tuple[int, ...], ...]
-    # (positive block, negative block) of each hyperplane
-    hyper_sides: tuple[tuple[Interval, Interval], ...]
     incl_pred: tuple[int, ...]
     pair_info: tuple[tuple[tuple[int, int] | None, ...], ...]
     class_edges: tuple[tuple[tuple[int, int, int], ...], ...]
@@ -126,8 +121,7 @@ def _tables(m: int) -> _Tables:
     n = len(ivs)
     hypers = golomb_hyperplanes(m)
     hindex = {h: k for k, h in enumerate(hypers)}
-    sides = hyperplane_blocks(m)
-    sides_index = {blocks: k for k, blocks in enumerate(sides)}
+    sides_index = {blocks: k for k, blocks in enumerate(hyperplane_blocks(m))}
     incl_pred = [0] * n
     pair_info: list[list[tuple[int, int] | None]] = [[None] * n for _ in range(n)]
     class_edges: list[list[tuple[int, int, int]]] = [[] for _ in hypers]
@@ -167,7 +161,6 @@ def _tables(m: int) -> _Tables:
     tables = _TABLES[m] = _Tables(
         intervals=ivs,
         hyperplanes=hypers,
-        hyper_sides=sides,
         incl_pred=tuple(incl_pred),
         pair_info=tuple(tuple(row) for row in pair_info),
         class_edges=tuple(tuple(c) for c in class_edges),
@@ -326,30 +319,3 @@ def _census(m: int, limit: int, jobs: int = 1) -> tuple[tuple[GolombOrientation,
         GolombOrientation(m, tuple(tables.intervals[v] for v in o))
         for chunk in chunks for o in chunk
     ), nodes
-
-
-def _sign_row(tables: _Tables, order) -> tuple[int, ...]:
-    """Side of every hyperplane (aligned with tables.hyperplanes) in the cell
-    of a total order of the intervals: -1 when its positive block comes
-    first, +1 when its negative block does."""
-    pos = {iv: i for i, iv in enumerate(order)}
-    return tuple(-1 if pos[left] < pos[right] else 1 for left, right in tables.hyper_sides)
-
-
-def region_sign_vector(orientation: GolombOrientation) -> dict[tuple[int, ...], int]:
-    """Map each canonical hyperplane normal to the strict side (-1 or +1 for
-    normal . z negative or positive) of the cell this orientation describes."""
-    tables = _tables(orientation.m)
-    order = orientation.order
-    if len(order) != tables.n or set(order) != set(tables.intervals):
-        raise ValueError("orientation does not rank every proper consecutive subset exactly once")
-    return dict(zip(tables.hyperplanes, _sign_row(tables, order)))
-
-
-def complement_orientation(orientation: GolombOrientation) -> GolombOrientation:
-    """Image under gap reversal z_i -> z_{m+1-i}; an involution on the
-    admissible orientations, fixed-point-free for m >= 2."""
-    m = orientation.m
-    return GolombOrientation(
-        m, tuple((m + 1 - b, m + 1 - a) for a, b in orientation.order)
-    )

@@ -63,10 +63,6 @@ class MixedGraph:
             raise ValueError(f"loop at vertex {u}")
 
 
-def to_json_dict(g: MixedGraph) -> dict:
-    return {"n": g.n, "edges": [list(e) for e in g.edges], "arcs": [list(a) for a in g.arcs]}
-
-
 def from_json_dict(data) -> MixedGraph:
     """Build a MixedGraph from {"n": ..., "edges": [[u,v],...], "arcs": [[u,v],...]}."""
     if not isinstance(data, dict):
@@ -158,9 +154,14 @@ def chromatic_polynomial(g: MixedGraph, *, budget: int | None = None) -> Poly:
     When the arcs contain a directed cycle there are no proper colorings at
     any t and the zero polynomial (0,) is returned; otherwise the count is a
     polynomial of degree exactly n, recovered by interpolation at t = 0..n.
+    The budget caps n**n, the largest sample's assignments, checked before
+    the first sample.
     """
     if not is_acyclic_mixed(g):
         return (Fraction(0),)
+    limit = resolve_budget(budget)
+    if g.n > 1 and g.n**g.n > limit:
+        raise BudgetExceededError(limit, f"{g.n}^{g.n} color assignments")
     points = [(t, count_proper_colorings(g, t, budget=budget)) for t in range(g.n + 1)]
     coeffs = lagrange(points, g.n)
     assert g.n == 0 or coeffs[-1] != 0, "coloring count must have degree n"
@@ -255,18 +256,18 @@ def reciprocity_check_mixed(g: MixedGraph, t: int, *, budget: int | None = None)
     shifting all colors leaves compatibility unchanged. Maps that already
     violate an arc weakly have no compatible orientation and are summed with
     multiplicity 0 rather than excluded. The budget caps t**n times the
-    number of acyclic orientations, checked before the sum starts.
+    number of acyclic orientations, checked before chi is computed.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    chi = chromatic_polynomial(g, budget=budget)
-    lhs = (-1) ** g.n * poly_eval(chi, -t)
     orientations = enumerate_acyclic_orientations(g, budget=budget)
     limit = resolve_budget(budget)
     if t**g.n * len(orientations) > limit:
         raise BudgetExceededError(
             limit, f"{t}^{g.n} maps times {len(orientations)} acyclic orientations"
         )
+    chi = chromatic_polynomial(g, budget=budget)
+    lhs = (-1) ** g.n * poly_eval(chi, -t)
     rhs = sum(
         compatible_orientation_count(g, c, orientations=orientations)
         for c in product(range(t), repeat=g.n)

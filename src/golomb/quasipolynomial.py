@@ -7,11 +7,10 @@ reciprocity identity expects (with p = 12, t = -1 selects residue 11).
 
 The counting quasipolynomial for Golomb gap vectors with m entries is
 produced here by interpolating exhaustive counts: degree m-1, period
-taken from the vertex denominator bound unless overridden, samples at
-t = 1 .. period*m. Its value at 0 and at negative arguments are outputs of
-the interpolated object, never inputs; the raw count at 0 is simply 0,
-while the quasipolynomial value at 0 is the number of cells of the
-subdivided simplex.
+the vertex denominator bound, samples at t = 1 .. period*m. Its value at 0
+and at negative arguments are outputs of the interpolated object, never
+inputs; the raw count at 0 is simply 0, while the quasipolynomial value at
+0 is the number of cells of the subdivided simplex.
 
 The reciprocity check weighs every non-negative gap vector of total t by
 its multiplicity, the number of cell closures holding it, and sums those
@@ -34,7 +33,6 @@ from the lattice, and neither reads the orientation census.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -97,22 +95,6 @@ class Quasipolynomial:
             "constituents": [[format_fraction(c) for c in poly] for poly in self.constituents],
         }
 
-    @classmethod
-    def from_json_dict(cls, data) -> "Quasipolynomial":
-        if not isinstance(data, dict) or "period" not in data or "constituents" not in data:
-            raise ValueError("expected an object with 'period' and 'constituents'")
-        constituents = tuple(
-            tuple(Fraction(c) for c in poly) for poly in data["constituents"]
-        )
-        return cls(data["period"], constituents)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Quasipolynomial":
-        return cls.from_json_dict(json.loads(text))
-
 
 def interpolate(values: Mapping[int, int], degree: int, period: int) -> Quasipolynomial:
     """Per-residue interpolation of counting data under a degree and period
@@ -142,22 +124,19 @@ def interpolate(values: Mapping[int, int], degree: int, period: int) -> Quasipol
     return Quasipolynomial(period, tuple(constituents))
 
 
-def golomb_quasipolynomial(
-    m: int, period_hint: int | None = None, *, budget: int | None = None
-) -> Quasipolynomial:
-    """Counting quasipolynomial for Golomb gap vectors with m entries.
-
-    Interpolates exhaustive counts at t = 1 .. period*m on degree m-1, with
-    the period taken from the vertex denominator bound unless a hint is
-    given, then verifies that every constituent has leading coefficient
-    1/(m-1)!. The counts come from one ruler search; the budget caps its
-    nodes, and the constraint subsets behind the period bound.
-    """
+def golomb_quasipolynomial(m: int, *, budget: int | None = None) -> Quasipolynomial:
+    """Counting quasipolynomial for Golomb gap vectors with m entries, on
+    the period period_bound(m). The budget caps the constraint subsets
+    behind the period bound and the nodes of the one ruler search."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if period_hint is not None and period_hint < 1:
-        raise ValueError("period hint must be >= 1")
-    period = period_hint if period_hint is not None else period_bound(m, budget=budget)
+    return _interpolate_counts(m, period_bound(m, budget=budget), budget)
+
+
+def _interpolate_counts(m: int, period: int, budget: int | None) -> Quasipolynomial:
+    """Interpolates exhaustive counts at t = 1 .. period*m on degree m-1,
+    then verifies that every constituent has leading coefficient 1/(m-1)!.
+    The counts come from one ruler search."""
     q = interpolate(golomb_counts(m, 1, period * m, budget=budget), m - 1, period)
     expected = Fraction(1, factorial(m - 1))
     for r, coeffs in enumerate(q.constituents):
@@ -216,7 +195,7 @@ def reciprocity_check_golomb(
     period = period_bound(m, budget=budget)
     check_node_floor(m, 1, period * m, limit)
     rhs = weighted_counts(orthant_lattice(m, budget=budget), set(t_values), limit)
-    q = golomb_quasipolynomial(m, period, budget=budget)
+    q = _interpolate_counts(m, period, budget)
     sign = (-1) ** (m - 1)
     rows = tuple(ReciprocityRow(t, sign * q.evaluate(-t), rhs[t]) for t in t_values)
     return GolombReciprocityReport(m, rows)

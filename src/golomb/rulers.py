@@ -66,20 +66,6 @@ def markings(gaps) -> tuple[int, ...]:
     return tuple(xs)
 
 
-def gaps_from_markings(marks) -> Gaps:
-    if len(marks) < 2 or marks[0] != 0:
-        raise ValueError("markings must start at 0 and contain at least two entries")
-    gaps = tuple(b - a for a, b in zip(marks, marks[1:]))
-    if any(g <= 0 for g in gaps):
-        raise ValueError("markings must be strictly increasing")
-    return gaps
-
-
-def complement(gaps) -> Gaps:
-    """Gap vector read right to left; an involution preserving the Golomb property."""
-    return tuple(reversed(gaps))
-
-
 def is_golomb(gaps) -> bool:
     """True iff all gaps are positive and all pairwise marking differences are distinct."""
     m = len(gaps)
@@ -128,12 +114,6 @@ def golomb_counts(
         raise ValueError("t_max must be >= t_min")
     counts = _run_search(m, t_min, t_max, resolve_budget(budget), jobs, False)[0]
     return {t: counts[t] for t in range(t_min, t_max + 1)}
-
-
-def count_golomb_rulers(m: int, t: int, *, budget: int | None = None, jobs: int = 1) -> int:
-    """Number of Golomb gap vectors with m positive entries summing to t;
-    see golomb_counts."""
-    return golomb_counts(m, t, t, budget=budget, jobs=jobs)[t]
 
 
 def _run_search(m: int, t_min: int, t_max: int, node_budget: int, jobs: int, collect: bool):

@@ -7,16 +7,26 @@ wherever it is off a hyperplane."""
 from functools import cache
 from itertools import accumulate
 
-from golomb.golomb_graph import _sign_row, _tables, enumerate_constrained_orientations
+from golomb.arrangement import hyperplane_blocks
+from golomb.golomb_graph import enumerate_constrained_orientations
+
+blocks = cache(hyperplane_blocks)
+
+
+def sign_row(m, order) -> tuple[int, ...]:
+    """Side of every hyperplane (aligned with golomb_hyperplanes(m)) in the
+    cell of a total order of the intervals: -1 when its positive block
+    comes first, +1 when its negative block does."""
+    pos = {iv: i for i, iv in enumerate(order)}
+    return tuple(-1 if pos[left] < pos[right] else 1 for left, right in blocks(m))
 
 
 @cache
 def census_rows(m):
     """The census's orientations, their sign rows (aligned with
     golomb_hyperplanes(m)) and each row's +1 positions as a bit mask."""
-    tables = _tables(m)
     orientations = enumerate_constrained_orientations(m)
-    rows = tuple(_sign_row(tables, o.order) for o in orientations)
+    rows = tuple(sign_row(m, o.order) for o in orientations)
     plus = tuple(sum(1 << k for k, s in enumerate(row) if s > 0) for row in rows)
     return orientations, rows, plus
 
@@ -26,7 +36,7 @@ def point_signs(m, gaps) -> tuple[int, ...]:
     the normal's positive block sum minus its negative block sum."""
     prefix = (0, *accumulate(gaps))
     signs = []
-    for (a, b), (c, d) in _tables(m).hyper_sides:
+    for (a, b), (c, d) in blocks(m):
         diff = prefix[b] - prefix[a - 1] - prefix[d] + prefix[c - 1]
         signs.append((diff > 0) - (diff < 0))
     return tuple(signs)

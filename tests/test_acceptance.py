@@ -12,7 +12,7 @@ from itertools import combinations
 import pytest
 
 from golomb.arrangement import iop_vertices, period_bound
-from golomb.fixtures import KNOWN_COUNTS_M3, REGION_COUNTS, TRIANGLE
+from golomb.fixtures import KNOWN_COUNTS_M3, TRIANGLE
 from golomb.golomb_graph import enumerate_constrained_orientations
 from golomb.lattice import multiplicity
 from golomb.mixed_graphs import (
@@ -23,7 +23,7 @@ from golomb.mixed_graphs import (
 )
 from golomb.quasipolynomial import golomb_quasipolynomial, reciprocity_check_golomb
 from golomb.ratpoly import poly_eval
-from golomb.rulers import count_golomb_rulers, is_golomb, optimal_length
+from golomb.rulers import golomb_counts, is_golomb, optimal_length
 
 from compositions import positive_compositions
 from test_mixed_graphs import (
@@ -34,13 +34,17 @@ from test_mixed_graphs import (
 )
 
 
+# Admissible orientation counts (cells of the subdivided simplex) for m = 1..6.
+REGION_COUNTS = {1: 1, 2: 2, 3: 10, 4: 114, 5: 2608, 6: 107498}
+
+
 def report(name, detail=""):
     print(f"[acceptance] {name}: PASS {detail}".rstrip())
 
 
 def test_01_reference_counts_m3():
     start = time.perf_counter()
-    counts = {t: count_golomb_rulers(3, t) for t in range(6, 36)}
+    counts = {t: golomb_counts(3, t, t)[t] for t in range(6, 36)}
     elapsed = time.perf_counter() - start
     assert counts == KNOWN_COUNTS_M3
     assert elapsed < 5.0
@@ -86,7 +90,7 @@ def test_04_region_counts_m1_to_m5():
     start = time.perf_counter()
     counts = [len(enumerate_constrained_orientations(m)) for m in range(1, 6)]
     elapsed = time.perf_counter() - start
-    assert counts == [1, 2, 10, 114, 2608]
+    assert counts == [REGION_COUNTS[m] for m in range(1, 6)] == [1, 2, 10, 114, 2608]
     assert elapsed < 60.0
     report("4 region counts m=1..5 == 1, 2, 10, 114, 2608", f"({elapsed:.1f}s)")
 
@@ -135,7 +139,7 @@ def test_07_property_suite():
         q = golomb_quasipolynomial(m)
         used = q.period * m
         for t in range(used + 1, used + q.period + 1):
-            assert q.evaluate(t) == count_golomb_rulers(m, t)
+            assert q.evaluate(t) == golomb_counts(m, t, t)[t]
 
     # classical chromatic polynomial against deletion-contraction
     rng = random.Random(29)

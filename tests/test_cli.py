@@ -131,8 +131,17 @@ def test_reciprocity_mixed_over_budget_fails_fast(capsys):
     assert out == "" and "budget" in err
 
 
-@pytest.mark.parametrize("command", ["quasipoly", "vertices"])
-def test_vertices_are_enumerated_once_per_command(capsys, monkeypatch, command):
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (("quasipoly", "--m", "3"), "period_bound", 12),
+        (("vertices", "--m", "3"), "period_bound", 12),
+        # one period bound serves the cheap refusal and the quasipolynomial
+        (("reciprocity", "golomb", "--m", "3", "--t", "5"), "ok", True),
+    ],
+    ids=["quasipoly", "vertices", "reciprocity"],
+)
+def test_vertices_are_enumerated_once_per_command(capsys, monkeypatch, argv, key, value):
     from golomb import arrangement
 
     calls = []
@@ -143,9 +152,16 @@ def test_vertices_are_enumerated_once_per_command(capsys, monkeypatch, command):
         return original(m, **kwargs)
 
     monkeypatch.setattr(arrangement, "iop_vertices", counted)
-    code, out, _ = run_cli(capsys, command, "--m", "3", "--format", "json")
-    assert code == 0 and json.loads(out)["period_bound"] == 12
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0 and json.loads(out)[key] == value
     assert calls == [3]
+
+
+def test_quasipoly_has_no_period_override(capsys):
+    # the period is always the bound; the payload reports the minimal one
+    assert run_cli(capsys, "quasipoly", "--m", "3", "--period", "12") == (
+        1, "", "error: unrecognized arguments: --period 12\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -218,7 +234,7 @@ def test_top_level_help_goes_through_the_full_parser(capsys, parsers_made):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["quasipoly", "--m", "3", "--period", "12"],
+        ["quasipoly", "--m", "3", "--budget", "500"],
         ["golomb-count", "--m", "4", "--t-min", "1", "--t-max", "9", "--format", "csv"],
         ["reciprocity", "mixed", "--fixture", "triangle", "--t", "2", "--budget", "99"],
         ["mixed", "orientations", "--input", "g.json", "--jobs", "2", "--output", "o.txt"],
@@ -372,15 +388,21 @@ def test_budget_env_var(capsys, monkeypatch):
     assert code == 1
 
 
-def test_module_entry_point():
+def run_python(*argv):
+    """A fresh interpreter with this checkout's src first on its path."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "golomb", "golomb-count", "--m", "3", "--t", "6", "--format", "json"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+def test_module_entry_point():
+    proc = run_python("-m", "golomb", "golomb-count", "--m", "3", "--t", "6", "--format", "json")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rows"] == [{"t": 6, "count": 2}]
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # only run_parts's pool path imports it
+    proc = run_python("-c", "import sys, golomb.cli; print('multiprocessing' in sys.modules)")
+    assert proc.returncode == 0 and proc.stdout == "False\n"

@@ -6,24 +6,22 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, strategies as st
 
-from golomb.arrangement import golomb_hyperplanes
+from golomb.arrangement import golomb_hyperplanes, hyperplane_blocks
 from golomb.cli import main
 from golomb.errors import BudgetExceededError
 from golomb.golomb_graph import (
     GolombOrientation,
     _tables,
     build_golomb_graph,
-    complement_orientation,
     consecutive_subsets,
     enumerate_constrained_orientations,
     interval_label,
-    region_sign_vector,
 )
 from golomb.lattice import multiplicity
 from golomb.rulers import enumerate_golomb_rulers, is_golomb
 from golomb.simplex import strict_cone_feasibility
 
-from census import census_multiplicities, census_rows, point_signs
+from census import census_multiplicities, census_rows, point_signs, sign_row
 from compositions import positive_compositions
 from normals import canonical_normal
 
@@ -149,12 +147,13 @@ def test_pair_tables_match_interval_indicators():
 
 
 def test_crossing_pairs_map_to_their_difference_blocks():
-    """hyper_sides[k] holds the blocks of normal k; a crossing pair p < q lies
-    on the hyperplane with blocks (p - q, q - p), and ordering the earlier
-    interval p first is its negative side."""
+    """hyperplane_blocks(m)[k] holds the blocks of normal k; a crossing pair
+    p < q lies on the hyperplane with blocks (p - q, q - p), and ordering the
+    earlier interval p first is its negative side."""
     for m in range(1, 8):
         tables = _tables(m)
-        for (u, v), h in zip(tables.hyper_sides, tables.hyperplanes, strict=True):
+        sides = hyperplane_blocks(m)
+        for (u, v), h in zip(sides, tables.hyperplanes, strict=True):
             assert h == tuple(
                 (u[0] <= x <= u[1]) - (v[0] <= x <= v[1]) for x in range(1, m + 1)
             )
@@ -168,7 +167,7 @@ def test_crossing_pairs_map_to_their_difference_blocks():
                     assert tables.pair_info[i][j] is None
                     continue
                 k, pol = tables.pair_info[i][j]
-                assert tables.hyper_sides[k] == (
+                assert sides[k] == (
                     (only_p[0], only_p[-1]), (only_q[0], only_q[-1])
                 )
                 assert pol == -1 and tables.pair_info[j][i] == (k, 1)
@@ -354,20 +353,18 @@ def test_zero_entries_defeat_golombness_but_not_multiplicity_one():
 
 
 def test_sign_vectors_are_distinct_and_match_ruler_relations():
-    orientations = enumerate_constrained_orientations(3)
-    vectors = [tuple(sorted(region_sign_vector(o).items())) for o in orientations]
-    assert len(set(vectors)) == 10
+    orientations, rows, _ = census_rows(3)
+    assert len(set(rows)) == 10
 
     # the orientation compatible with gaps (1,3,2) must carry its strict signs
     z = (1, 3, 2)
     compatible = [
-        o
-        for o in orientations
+        row
+        for o, row in zip(orientations, rows)
         if multiplicity_by_definition(z, [o]) == 1
     ]
     assert len(compatible) == 1
-    signs = region_sign_vector(compatible[0])
-    for normal, sign in signs.items():
+    for normal, sign in zip(golomb_hyperplanes(3), compatible[0], strict=True):
         value = sum(c * g for c, g in zip(normal, z))
         assert value != 0 and (1 if value > 0 else -1) == sign
 
@@ -376,28 +373,23 @@ def test_sign_vector_m2():
     first = next(
         o for o in enumerate_constrained_orientations(2) if o.labels() == ("1", "2")
     )
-    assert region_sign_vector(first) == {(1, -1): -1}
-
-
-def test_sign_vector_keys_are_the_hyperplanes():
-    for m in (2, 3, 4):
-        o = enumerate_constrained_orientations(m)[0]
-        assert tuple(sorted(region_sign_vector(o))) == golomb_hyperplanes(m)
-
-
-def test_region_sign_vector_rejects_partial_orders():
-    with pytest.raises(ValueError):
-        region_sign_vector(GolombOrientation(3, ((1, 1), (2, 2))))
+    assert golomb_hyperplanes(2) == ((1, -1),)
+    assert sign_row(2, first.order) == (-1,)
 
 
 def test_complement_orientation_is_fixed_point_free_involution():
+    # gap reversal z_i -> z_{m+1-i} maps the interval [a, b] to
+    # [m+1-b, m+1-a] and permutes the cells, fixing none for m >= 2
+    def reversed_order(o):
+        return GolombOrientation(o.m, tuple((o.m + 1 - b, o.m + 1 - a) for a, b in o.order))
+
     for m in (2, 3, 4):
         orientations = set(enumerate_constrained_orientations(m))
         for o in orientations:
-            image = complement_orientation(o)
+            image = reversed_order(o)
             assert image in orientations
             assert image != o
-            assert complement_orientation(image) == o
+            assert reversed_order(image) == o
 
 
 @dataclass(frozen=True)
@@ -479,7 +471,3 @@ def test_json_export_schema(capsys):
 
     assert main(["regions", "--m", "1", "--list", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out) == {"m": 1, "count": 1, "orientations": [[]]}
-
-
-def test_orientation_str():
-    assert {str(o) for o in enumerate_constrained_orientations(2)} == {"1 < 2", "2 < 1"}

@@ -5,6 +5,7 @@ from itertools import combinations, permutations, product
 import pytest
 from hypothesis import given, strategies as st
 
+import golomb.mixed_graphs as mixed_graphs
 from golomb.errors import BudgetExceededError
 from golomb.fixtures import TRIANGLE
 from golomb.mixed_graphs import (
@@ -17,7 +18,6 @@ from golomb.mixed_graphs import (
     from_json_dict,
     is_acyclic_mixed,
     reciprocity_check_mixed,
-    to_json_dict,
 )
 from golomb.ratpoly import poly_eval
 
@@ -110,8 +110,7 @@ def test_normalisation():
 
 
 def test_json_round_trip_and_errors():
-    payload = to_json_dict(TRIANGLE)
-    assert payload == {"n": 3, "edges": [[1, 3], [2, 3]], "arcs": [[1, 2]]}
+    payload = {"n": 3, "edges": [[1, 3], [2, 3]], "arcs": [[1, 2]]}
     assert from_json_dict(payload) == TRIANGLE
     with pytest.raises(ValueError, match="missing key"):
         from_json_dict({"n": 3, "edges": []})
@@ -322,3 +321,32 @@ def test_reciprocity_budget_is_checked_before_the_sum():
         reciprocity_check_mixed(TRIANGLE, 3, budget=3**3 * k - 1)
     with pytest.raises(BudgetExceededError):
         reciprocity_check_mixed(TRIANGLE, 150, budget=1000)
+
+
+def never_colored(*args, **kwargs):
+    raise AssertionError("colorings were counted although the request cannot fit the budget")
+
+
+def test_reciprocity_refuses_before_computing_chi(monkeypatch):
+    # 100^8 maps times the 2 orientations of the one edge exceed 10^9;
+    # chi alone would count colorings for t = 0..8 first
+    monkeypatch.setattr(mixed_graphs, "count_proper_colorings", never_colored)
+    refusal = r"^search budget of 1000000000 nodes exceeded in 100\^8 maps times 2 acyclic orientations$"
+    with pytest.raises(BudgetExceededError, match=refusal):
+        reciprocity_check_mixed(MixedGraph(8, edges=((1, 2),)), 100, budget=10**9)
+
+
+def test_chromatic_polynomial_refuses_before_the_first_sample(monkeypatch):
+    # the t = 8 sample of an 8-vertex graph has 8^8 assignments; 8^8 > 10^6
+    monkeypatch.setattr(mixed_graphs, "count_proper_colorings", never_colored)
+    with pytest.raises(BudgetExceededError, match=r"exceeded in 8\^8 color assignments$"):
+        chromatic_polynomial(MixedGraph(8), budget=10**6)
+
+
+def test_chromatic_polynomial_budget_is_the_largest_sample():
+    # n^n is the largest sample's t^n, so the budget that fits it fits all
+    assert chromatic_polynomial(MixedGraph(4), budget=4**4) == (0, 0, 0, 0, 1)
+    with pytest.raises(BudgetExceededError, match=r"4\^4 color assignments"):
+        chromatic_polynomial(MixedGraph(4), budget=4**4 - 1)
+    # a directed cycle is answered before the budget is read
+    assert chromatic_polynomial(MixedGraph(3, arcs=((1, 2), (2, 3), (3, 1))), budget=1) == (0,)

@@ -12,11 +12,8 @@ from golomb.rulers import (
     _node_floor,
     _run_search,
     _search,
-    complement,
-    count_golomb_rulers,
     dpcs_pairs,
     enumerate_golomb_rulers,
-    gaps_from_markings,
     golomb_counts,
     is_golomb,
     markings,
@@ -113,12 +110,9 @@ def per_bit_search(m, t_min, t_max, node_budget, first_gap, collect):
 
 
 def test_markings_roundtrip():
-    assert markings((1, 3, 2)) == (0, 1, 4, 6)
-    assert gaps_from_markings((0, 1, 4, 6)) == (1, 3, 2)
-    with pytest.raises(ValueError):
-        gaps_from_markings((1, 2))
-    with pytest.raises(ValueError):
-        gaps_from_markings((0, 2, 2))
+    marks = markings((1, 3, 2))
+    assert marks == (0, 1, 4, 6)
+    assert tuple(b - a for a, b in zip(marks, marks[1:])) == (1, 3, 2)
 
 
 def test_dpcs_pairs_m3():
@@ -157,8 +151,8 @@ def test_recognition_routes_agree_random(gaps):
 
 @given(gap_vectors)
 def test_complement_involution(gaps):
-    assert complement(complement(gaps)) == gaps
-    assert is_golomb(gaps) == is_golomb(complement(gaps))
+    # gap reversal preserves the set of marking differences
+    assert is_golomb(gaps) == is_golomb(gaps[::-1])
 
 
 def test_enumerate_examples():
@@ -176,10 +170,10 @@ def test_enumerate_is_lexicographic_and_matches_filter_oracle():
 
 
 def test_count_examples():
-    assert count_golomb_rulers(3, 18) == 98
-    assert count_golomb_rulers(3, 35) == 510
-    assert count_golomb_rulers(2, 4) == 2
-    assert count_golomb_rulers(5, 0) == 0
+    assert golomb_counts(3, 18, 18)[18] == 98
+    assert golomb_counts(3, 35, 35)[35] == 510
+    assert golomb_counts(2, 4, 4)[4] == 2
+    assert golomb_counts(5, 0, 0)[0] == 0
 
 
 def test_counts_even_for_m_at_least_2():
@@ -187,8 +181,8 @@ def test_counts_even_for_m_at_least_2():
     for m in (2, 3, 4):
         for t in range(1, 16):
             rulers = enumerate_golomb_rulers(m, t)
-            assert set(map(complement, rulers)) == set(rulers)
-            assert count_golomb_rulers(m, t) % 2 == 0
+            assert {z[::-1] for z in rulers} == set(rulers)
+            assert golomb_counts(m, t, t)[t] % 2 == 0
 
 
 def test_difference_set_has_full_cardinality():
@@ -203,8 +197,8 @@ def test_counts_vanish_below_optimal_length():
     for m in range(1, 5):
         shortest = optimal_length(m)
         for t in range(1, shortest):
-            assert count_golomb_rulers(m, t) == 0
-        assert count_golomb_rulers(m, shortest) > 0
+            assert golomb_counts(m, t, t)[t] == 0
+        assert golomb_counts(m, shortest, shortest)[shortest] > 0
 
 
 def test_optimal_lengths():
@@ -225,10 +219,10 @@ def test_budget_exhaustion():
     # largest first-gap part 628: the budget caps the total for any number
     # of jobs
     for jobs in (1, 2):
-        assert count_golomb_rulers(4, 30, budget=3110, jobs=jobs) == 1880
+        assert golomb_counts(4, 30, 30, budget=3110, jobs=jobs)[30] == 1880
         for budget in (10, 2000, 3109):
             with pytest.raises(BudgetExceededError):
-                count_golomb_rulers(4, 30, budget=budget, jobs=jobs)
+                golomb_counts(4, 30, 30, budget=budget, jobs=jobs)
 
 
 def test_node_floor_bounds_the_search():
@@ -260,11 +254,11 @@ def test_search_refuses_a_budget_below_its_floor(monkeypatch):
 
 def test_count_matches_enumeration_serial_and_parallel():
     for m, t in [(1, 4), (2, 9), (3, 18), (4, 20), (5, 30)]:
-        count = count_golomb_rulers(m, t)
+        count = golomb_counts(m, t, t)[t]
         assert count == len(enumerate_golomb_rulers(m, t))
-        assert count_golomb_rulers(m, t, jobs=2) == count
+        assert golomb_counts(m, t, t, jobs=2)[t] == count
     with pytest.raises(BudgetExceededError):
-        count_golomb_rulers(4, 30, budget=10)
+        golomb_counts(4, 30, 30, budget=10)
 
 
 def test_range_counts_match_filter_oracle():
@@ -316,8 +310,6 @@ def test_input_validation():
         enumerate_golomb_rulers(0, 5)
     with pytest.raises(ValueError):
         enumerate_golomb_rulers(2, 0)
-    with pytest.raises(ValueError):
-        count_golomb_rulers(2, -1)
     with pytest.raises(ValueError):
         golomb_counts(0, 1, 5)
     with pytest.raises(ValueError):
@@ -454,8 +446,6 @@ def test_parts_run_on_what_is_left_of_the_budget(jobs):
 def test_the_pool_has_at_most_one_worker_per_part(monkeypatch):
     import multiprocessing
 
-    from golomb import config
-
     fork = multiprocessing.get_context("fork")
     sizes = []
 
@@ -464,7 +454,8 @@ def test_the_pool_has_at_most_one_worker_per_part(monkeypatch):
             sizes.append(processes)
             return fork.Pool(processes, *args)
 
-    monkeypatch.setattr(config.multiprocessing, "get_context", lambda method: Recorded())
+    # run_parts imports multiprocessing on its pool path and reads this attribute
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Recorded())
     # g_3 at t = 10 splits into 4 first gaps; the m = 2 census into 2
     # first placements, then 2 chunks for the simplex
     assert golomb_counts(3, 10, 10, jobs=6) == golomb_counts(3, 10, 10)
