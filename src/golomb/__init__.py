@@ -30,7 +30,7 @@ from golomb.quasipolynomial import (
     interpolate,
     reciprocity_check_golomb,
 )
-from golomb.rulers import enumerate_golomb_rulers, golomb_counts, is_golomb, optimal_length
+from golomb.rulers import golomb_counts, is_golomb, optimal_length
 
 __version__ = "0.1.0"
 
@@ -48,7 +48,6 @@ __all__ = [
     "count_proper_colorings",
     "enumerate_acyclic_orientations",
     "enumerate_constrained_orientations",
-    "enumerate_golomb_rulers",
     "golomb_counts",
     "golomb_quasipolynomial",
     "interpolate",

@@ -222,13 +222,14 @@ def _cmd_mixed(args):
     text = args.format == "text"
     table = None
     if args.action == "chroma":
+        # refused before chi's brute force runs
+        if args.t is not None and args.t < 0:
+            raise ValueError("t must be >= 0")
         chi = mixed_graphs.chromatic_polynomial(graph, budget=args.budget)
         payload = {"n": graph.n, "polynomial": [format_fraction(c) for c in chi]}
         if text:
             table = [f"chromatic polynomial: {poly_str(chi)}"]
         if args.t is not None:
-            if args.t < 0:
-                raise ValueError("t must be >= 0")
             # chi counts the proper colorings at every t >= 0
             count = int(poly_eval(chi, args.t))
             payload["t"] = args.t

@@ -14,11 +14,12 @@ operations (arrangement._split, Euclid on the values h.b): one column
 keeps the gcd of the values, the others vanish on h and are a basis of
 the integer points of the join. Each column carries its products with
 every hyperplane, which the same column operations keep exact, so the
-hyperplanes holding a join are read off them. A hyperplane already in an
-earlier child's closure gives that child again and is skipped; every
-other join is a search node counted against the budget. A new flat costs
-one exact feasibility check, whether some combination of its basis is
-positive in every coordinate.
+hyperplanes holding a join are read off them, only those outside the
+parent, whose hyperplanes hold every column already. A hyperplane
+already in an earlier child's closure gives that child again and is
+skipped; every other join is a search node counted against the budget.
+A new flat costs one exact feasibility check, whether some combination
+of its basis is positive in every coordinate.
 
 Zaslavsky's theorem for an arrangement restricted to an open convex set
 counts the cells of the orthant as the sum of |mu(0̂, u)| over these flats
@@ -92,6 +93,7 @@ def _build(m: int, limit: int) -> Lattice:
     masks = [0]
     bases = [tuple((*(int(i == j) for j in range(m)), *(h[i] for h in hypers)) for i in range(m))]
     covers: list[list[int]] = [[]]  # the flats each flat covers, by index
+    full = (1 << len(hypers)) - 1
     level = [0]
     nodes = 0
     while level:
@@ -103,16 +105,22 @@ def _build(m: int, limit: int) -> Lattice:
             if len(basis) == 1:
                 continue  # a ray: its only join is the origin, off the orthant
             seen = masks[i]
-            for k in range(len(hypers)):
+            # every column of a child has product 0 with the hyperplanes
+            # holding the parent, so only the others are read
+            outside = [k for k in range(len(hypers)) if not seen >> k & 1]
+            for k in outside:
                 if seen >> k & 1:
                     continue
                 nodes += 1
                 if nodes > limit:
                     raise BudgetExceededError(limit, f"intersection lattice of the m={m} hyperplanes")
                 _, child = _split(basis, itemgetter(m + k))
-                mask = masks[i] | sum(
-                    1 << j for j in range(len(hypers)) if not any(c[m + j] for c in child)
-                )
+                nonzero = 0
+                for c in child:
+                    for j in outside:
+                        if c[m + j]:
+                            nonzero |= 1 << j
+                mask = full ^ nonzero
                 seen |= mask
                 j = index.get(mask)
                 if j is None:

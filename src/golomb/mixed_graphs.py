@@ -81,27 +81,27 @@ def from_json_dict(data) -> MixedGraph:
     return MixedGraph(n, tuple(tuple(e) for e in edges), tuple(tuple(a) for a in arcs))
 
 
-def _digraph_has_cycle(n: int, arcs) -> bool:
-    succ: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    indeg = {v: 0 for v in range(1, n + 1)}
-    for u, v in arcs:
-        succ[u].append(v)
-        indeg[v] += 1
-    queue = [v for v in range(1, n + 1) if indeg[v] == 0]
-    done = 0
-    while queue:
-        u = queue.pop()
-        done += 1
-        for v in succ[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    return done < n
+def _joined(reach: list[int], a: int, b: int) -> list[int]:
+    """reach once the arc a -> b is added: every vertex that reaches a now
+    reaches all that b reaches."""
+    return [r | reach[b] if r >> a & 1 else r for r in reach]
+
+
+def _arc_reach(g: MixedGraph) -> list[int] | None:
+    """Bit w of entry v is set when v reaches w along the arcs (v reaches
+    itself), or None when the arcs contain a directed cycle: an arc a -> b
+    closes one exactly when b already reaches a."""
+    reach = [1 << v for v in range(g.n + 1)]
+    for a, b in g.arcs:
+        if reach[b] >> a & 1:
+            return None
+        reach = _joined(reach, a, b)
+    return reach
 
 
 def is_acyclic_mixed(g: MixedGraph) -> bool:
     """True when the arc set alone contains no directed cycle."""
-    return not _digraph_has_cycle(g.n, g.arcs)
+    return _arc_reach(g) is not None
 
 
 def count_proper_colorings(g: MixedGraph, t: int, *, budget: int | None = None) -> int:
@@ -176,21 +176,15 @@ def enumerate_acyclic_orientations(g: MixedGraph, *, budget: int | None = None) 
 
     A depth-first search decides edge e-1 first and edge 0 last, which lists
     in counter order. Each node keeps, per vertex, the bitmask of vertices
-    it reaches, so a choice that closes a directed cycle is dropped together
-    with everything below it."""
+    it reaches (_arc_reach), so a choice that closes a directed cycle is
+    dropped together with everything below it."""
     limit = resolve_budget(budget)
     e = len(g.edges)
     if 2**e > limit:
         raise BudgetExceededError(limit, f"2^{e} edge orientations")
-
-    def joined(reach, a, b):  # reach once the arc a -> b is added
-        return [r | reach[b] if r >> a & 1 else r for r in reach]
-
-    reach = [1 << v for v in range(g.n + 1)]
-    for a, b in g.arcs:
-        if reach[b] >> a & 1:
-            return ()
-        reach = joined(reach, a, b)
+    reach = _arc_reach(g)
+    if reach is None:
+        return ()
     out = []
     chosen: list[tuple[int, int]] = [(0, 0)] * e
 
@@ -202,7 +196,7 @@ def enumerate_acyclic_orientations(g: MixedGraph, *, budget: int | None = None) 
         for a, b in ((u, v), (v, u)):
             if not reach[b] >> a & 1:
                 chosen[i] = (a, b)
-                rec(i - 1, joined(reach, a, b))
+                rec(i - 1, _joined(reach, a, b))
 
     rec(e - 1, reach)
     return tuple(out)

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import golomb.cli as cli
+import golomb.mixed_graphs as mixed_graphs
 import golomb.rulers as rulers
 from golomb.cli import main
 from golomb.fixtures import KNOWN_COUNTS_M3
@@ -276,8 +277,18 @@ def test_mixed_chroma_reads_the_count_off_the_polynomial(capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["count"] == 2000 * 1999 * 1998 // 2
-    code, _, err = run_cli(capsys, "mixed", "chroma", "--fixture", "triangle", "--t", "-1")
-    assert code == 1 and "t must be >= 0" in err
+
+
+def test_mixed_chroma_refuses_a_negative_t_before_counting(capsys, monkeypatch):
+    def never_colored(*args, **kwargs):
+        raise AssertionError("colorings were counted for a t the command refuses")
+
+    monkeypatch.setattr(mixed_graphs, "count_proper_colorings", never_colored)
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(
+            capsys, "mixed", "chroma", "--fixture", "triangle", "--t", "-1", "--format", fmt
+        )
+        assert code == 1 and out == "" and "t must be >= 0" in err
 
 
 @pytest.mark.parametrize("graph, named", [

@@ -18,7 +18,7 @@ from golomb.golomb_graph import (
     interval_label,
 )
 from golomb.lattice import multiplicity
-from golomb.rulers import enumerate_golomb_rulers, is_golomb
+from golomb.rulers import is_golomb
 from golomb.simplex import strict_cone_feasibility
 
 from census import census_multiplicities, census_rows, point_signs, sign_row
@@ -425,7 +425,7 @@ def check_realizability(m: int, *, length_ceiling: int = 60) -> RealizabilityRep
     searched = 0
     for t in range(1, length_ceiling + 1):
         searched = t
-        for gaps in enumerate_golomb_rulers(m, t):
+        for gaps in filter(is_golomb, positive_compositions(m, t)):
             row = point_signs(m, gaps)
             if row in by_signs:
                 realized.add(row)
@@ -456,7 +456,7 @@ def test_realizability_by_integer_rulers():
 def test_every_small_ruler_lands_in_exactly_one_region():
     orientations = enumerate_constrained_orientations(3)
     for t in range(6, 16):
-        for z in enumerate_golomb_rulers(3, t):
+        for z in filter(is_golomb, positive_compositions(3, t)):
             assert multiplicity_by_definition(z, orientations) == 1
 
 

@@ -166,6 +166,7 @@ def test_reciprocity_sum_charges_every_walked_value():
 
 
 def test_lattice_budget_boundary():
+    assert (len(orthant_lattice(5).flats), orthant_lattice(5).nodes) == (1305, 13320)
     assert orthant_lattice(4).nodes == 431
     assert orthant_lattice(4, budget=431) == orthant_lattice(4)
     with pytest.raises(BudgetExceededError, match="budget of 430 nodes exceeded in intersection lattice"):

@@ -118,11 +118,35 @@ def test_json_round_trip_and_errors():
         from_json_dict({"n": 3, "edges": [[1, 2, 3]], "arcs": []})
 
 
+def digraph_has_cycle(n, arcs) -> bool:
+    """The oracle: Kahn's algorithm on vertices 1..n, which removes
+    sources until none is left and finds a cycle when some vertex stays."""
+    succ = {v: [] for v in range(1, n + 1)}
+    indeg = dict.fromkeys(range(1, n + 1), 0)
+    for u, v in arcs:
+        succ[u].append(v)
+        indeg[v] += 1
+    queue = [v for v in range(1, n + 1) if indeg[v] == 0]
+    done = 0
+    while queue:
+        u = queue.pop()
+        done += 1
+        for v in succ[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                queue.append(v)
+    return done < n
+
+
 def test_is_acyclic():
     assert is_acyclic_mixed(TRIANGLE)
     assert not is_acyclic_mixed(MixedGraph(3, (), ((1, 2), (2, 3), (3, 1))))
     assert is_acyclic_mixed(MixedGraph(4, edges=((1, 2), (3, 4))))
     assert is_acyclic_mixed(MixedGraph(0))
+    rng = random.Random(29)
+    for _ in range(300):
+        g = random_mixed_graph(rng, rng.randint(0, 7))
+        assert is_acyclic_mixed(g) == (not digraph_has_cycle(g.n, g.arcs))
 
 
 def test_coloring_counts_triangle():
@@ -213,7 +237,7 @@ def orientations_by_counter(g):
         oriented = tuple(
             (v, u) if bits >> i & 1 else (u, v) for i, (u, v) in enumerate(g.edges)
         )
-        if is_acyclic_mixed(MixedGraph(g.n, arcs=g.arcs + oriented)):
+        if not digraph_has_cycle(g.n, g.arcs + oriented):
             out.append(oriented)
     return tuple(out)
 

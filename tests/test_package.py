@@ -1,6 +1,9 @@
 import importlib
+from pathlib import Path
 
 import golomb
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # the names a command calls or the README's module overview names
 PUBLIC = [
@@ -17,7 +20,6 @@ PUBLIC = [
     "count_proper_colorings",
     "enumerate_acyclic_orientations",
     "enumerate_constrained_orientations",
-    "enumerate_golomb_rulers",
     "golomb_counts",
     "golomb_quasipolynomial",
     "interpolate",
@@ -39,3 +41,9 @@ def test_all_is_pinned_and_every_name_imports():
         value = namespace[name]
         # each name is the object its own module defines
         assert getattr(importlib.import_module(value.__module__), name) is value
+
+
+def test_readme_names_every_public_name():
+    # a public name needs a command or a line in the README's overview
+    text = README.read_text(encoding="utf-8")
+    assert [name for name in golomb.__all__ if f"`{name}`" not in text] == []

@@ -13,7 +13,6 @@ from golomb.rulers import (
     _run_search,
     _search,
     dpcs_pairs,
-    enumerate_golomb_rulers,
     golomb_counts,
     is_golomb,
     markings,
@@ -46,14 +45,19 @@ def is_golomb_by_interval_sums(gaps) -> bool:
     return True
 
 
-def per_bit_search(m, t_min, t_max, node_budget, first_gap, collect):
+def golomb_filter(m, t):
+    """Every Golomb gap vector with m entries summing to t, in lexicographic
+    order: the compositions the interval-sum route accepts."""
+    return [z for z in positive_compositions(m, t) if is_golomb_by_interval_sums(z)]
+
+
+def per_bit_search(m, t_min, t_max, node_budget, first_gap):
     """The ruler search as it stood before the forbidden-mark mask was
     passed down: every node rebuilds OR_x (seen << x) from all placed marks,
     and every last mark is one call that walks its window bit by bit. Same
-    arguments, results and node totals as `rulers._search`."""
-    halve = not collect and m >= 2
+    arguments, counts by length and node totals as `rulers._search`."""
+    halve = m >= 2
     counts = [0] * (t_max + 1)
-    out = []
     marks = [0]
     nodes = 0
 
@@ -69,7 +73,7 @@ def per_bit_search(m, t_min, t_max, node_budget, first_gap, collect):
             lo = max(x + 1 + lead, t_min)
             hi = t_max
         elif k == 0:
-            lo, hi = 1, _first_gap_bound(m, t_max, halve)
+            lo, hi = 1, _first_gap_bound(m, t_max)
         else:
             lo = x + 1
             hi = t_max - (m - k - 1) - lead
@@ -87,11 +91,7 @@ def per_bit_search(m, t_min, t_max, node_budget, first_gap, collect):
             while free:
                 low = free & -free
                 free ^= low
-                y = low.bit_length() - 1
-                if collect:
-                    out.append((*(b - a for a, b in zip(marks, marks[1:])), y - x))
-                else:
-                    counts[y] += 1
+                counts[low.bit_length() - 1] += 1
             return
         while free:
             low = free & -free
@@ -102,8 +102,6 @@ def per_bit_search(m, t_min, t_max, node_budget, first_gap, collect):
             marks.pop()
 
     rec(0, 1 << t_max, 0)
-    if collect:
-        return out, nodes
     if halve:
         counts = [2 * c for c in counts]
     return counts, nodes
@@ -156,17 +154,14 @@ def test_complement_involution(gaps):
 
 
 def test_enumerate_examples():
-    assert enumerate_golomb_rulers(3, 6) == [(1, 3, 2), (2, 3, 1)]
-    assert enumerate_golomb_rulers(1, 7) == [(7,)]
-    assert enumerate_golomb_rulers(2, 5) == [(1, 4), (2, 3), (3, 2), (4, 1)]
-
-
-def test_enumerate_is_lexicographic_and_matches_filter_oracle():
-    for m, t in [(2, 9), (3, 11), (4, 13)]:
-        got = enumerate_golomb_rulers(m, t)
-        assert got == sorted(got)
-        expected = [z for z in positive_compositions(m, t) if is_golomb_by_interval_sums(z)]
-        assert got == expected
+    examples = {
+        (3, 6): [(1, 3, 2), (2, 3, 1)],
+        (1, 7): [(7,)],
+        (2, 5): [(1, 4), (2, 3), (3, 2), (4, 1)],
+    }
+    for (m, t), expected in examples.items():
+        assert golomb_filter(m, t) == expected
+        assert golomb_counts(m, t, t)[t] == len(expected)
 
 
 def test_count_examples():
@@ -180,14 +175,14 @@ def test_counts_even_for_m_at_least_2():
     # gap reversal pairs up rulers; a palindrome would tie z_1 against z_m
     for m in (2, 3, 4):
         for t in range(1, 16):
-            rulers = enumerate_golomb_rulers(m, t)
+            rulers = golomb_filter(m, t)
             assert {z[::-1] for z in rulers} == set(rulers)
             assert golomb_counts(m, t, t)[t] % 2 == 0
 
 
 def test_difference_set_has_full_cardinality():
     for m, t in [(3, 10), (4, 14)]:
-        for gaps in enumerate_golomb_rulers(m, t):
+        for gaps in golomb_filter(m, t):
             marks = markings(gaps)
             diffs = {b - a for a, b in combinations(marks, 2)}
             assert len(diffs) == m * (m + 1) // 2
@@ -213,8 +208,6 @@ def test_optimal_length_shares_one_budget():
 
 
 def test_budget_exhaustion():
-    with pytest.raises(BudgetExceededError):
-        enumerate_golomb_rulers(4, 30, budget=10)
     # counting m=4, t=30 keeps only z_4 > z_1 and examines 3110 nodes, its
     # largest first-gap part 628: the budget caps the total for any number
     # of jobs
@@ -229,17 +222,13 @@ def test_node_floor_bounds_the_search():
     # the floor never refuses a search that fits
     for m, t_max, floor, nodes in [(2, 60, 855, 899), (3, 150, 248115, 274750),
                                    (4, 60, 24832, 214568)]:
-        assert _node_floor(m, 1, t_max, True) == floor
-        assert _run_search(m, 1, t_max, UNLIMITED, 1, False)[1] == nodes
+        assert _node_floor(m, 1, t_max) == floor
+        assert _run_search(m, 1, t_max, UNLIMITED, 1)[1] == nodes
     for m, t_max in [(1, 40), (2, 60), (3, 150), (4, 60), (5, 40)]:
         for t_min in (0, 1, 2, t_max // 2, t_max):
-            assert _node_floor(m, t_min, t_max, m >= 2) <= _run_search(
-                m, t_min, t_max, UNLIMITED, 1, False
-            )[1]
-    for m, t in [(1, 5), (2, 30), (3, 40), (4, 25)]:
-        assert _node_floor(m, t, t, False) <= _run_search(m, t, t, UNLIMITED, 1, True)[1]
+            assert _node_floor(m, t_min, t_max) <= _run_search(m, t_min, t_max, UNLIMITED, 1)[1]
     # g_4 to t = 3360, what quasipoly --m 4 asks for, cannot fit in 10^9
-    assert _node_floor(4, 1, 3360, True) > 2 * 10**12
+    assert _node_floor(4, 1, 3360) > 2 * 10**12
 
 
 def test_search_refuses_a_budget_below_its_floor(monkeypatch):
@@ -247,7 +236,7 @@ def test_search_refuses_a_budget_below_its_floor(monkeypatch):
         raise AssertionError("a part ran although the floor exceeds the budget")
 
     monkeypatch.setattr(rulers, "_search", never)
-    floor = _node_floor(3, 1, 150, True)
+    floor = _node_floor(3, 1, 150)
     with pytest.raises(BudgetExceededError, match=f"at least {floor} nodes"):
         golomb_counts(3, 1, 150, budget=floor - 1)
 
@@ -255,7 +244,7 @@ def test_search_refuses_a_budget_below_its_floor(monkeypatch):
 def test_count_matches_enumeration_serial_and_parallel():
     for m, t in [(1, 4), (2, 9), (3, 18), (4, 20), (5, 30)]:
         count = golomb_counts(m, t, t)[t]
-        assert count == len(enumerate_golomb_rulers(m, t))
+        assert count == len(golomb_filter(m, t))
         assert golomb_counts(m, t, t, jobs=2)[t] == count
     with pytest.raises(BudgetExceededError):
         golomb_counts(4, 30, 30, budget=10)
@@ -272,8 +261,6 @@ def test_range_counts_match_filter_oracle():
             expected = {t: oracle[m, t] for t in range(t_min, t_max + 1)}
             for jobs in (1, 2):
                 assert golomb_counts(m, t_min, t_max, jobs=jobs) == expected
-        for t in range(1, 23):
-            assert len(enumerate_golomb_rulers(m, t)) == oracle[m, t]
 
 
 def test_range_budget_boundary():
@@ -299,17 +286,7 @@ def test_counting_parts_are_added_as_they_arrive():
     assert peak < 4 * 2**20
 
 
-def test_parallel_enumeration_matches_serial():
-    serial = enumerate_golomb_rulers(4, 20)
-    assert enumerate_golomb_rulers(4, 20, jobs=2) == serial
-    assert enumerate_golomb_rulers(4, 20, jobs=5) == serial
-
-
 def test_input_validation():
-    with pytest.raises(ValueError):
-        enumerate_golomb_rulers(0, 5)
-    with pytest.raises(ValueError):
-        enumerate_golomb_rulers(2, 0)
     with pytest.raises(ValueError):
         golomb_counts(0, 1, 5)
     with pytest.raises(ValueError):
@@ -321,13 +298,11 @@ def test_input_validation():
 UNLIMITED = 10**12
 
 
-def part_search(m, t_min, t_max, node_budget, first_gap, collect):
+def part_search(m, t_min, t_max, node_budget, first_gap):
     """`rulers._search` with its bit-sliced counters read bit by bit into
     counts by length (each kept ruler standing for two when m >= 2), the
     form `per_bit_search` returns."""
-    result, nodes = _search(m, t_min, t_max, node_budget, first_gap, collect)
-    if collect:
-        return result, nodes
+    result, nodes = _search(m, t_min, t_max, node_budget, first_gap)
     weight = 2 if m >= 2 else 1
     counts = [
         weight * sum((plane >> y & 1) << i for i, plane in enumerate(result))
@@ -336,17 +311,15 @@ def part_search(m, t_min, t_max, node_budget, first_gap, collect):
     return counts, nodes
 
 
-def whole_search(m, t_min, t_max, collect):
-    """`part_search` over every first gap, joined in first-gap order or
-    summed by length, with the nodes of all parts: what `per_bit_search`
-    returns for the whole search (first_gap=None)."""
+def whole_search(m, t_min, t_max):
+    """`part_search` over every first gap, summed by length, with the nodes
+    of all parts: what `per_bit_search` returns for the whole search
+    (first_gap=None)."""
     parts = [
-        part_search(m, t_min, t_max, UNLIMITED, first, collect)
-        for first in range(1, _first_gap_bound(m, t_max, not collect) + 1)
+        part_search(m, t_min, t_max, UNLIMITED, first)
+        for first in range(1, _first_gap_bound(m, t_max) + 1)
     ]
     nodes = sum(used for _, used in parts)
-    if collect:
-        return [ruler for part, _ in parts for ruler in part], nodes
     return [sum(column) for column in zip([0] * (t_max + 1), *(part for part, _ in parts))], nodes
 
 
@@ -354,36 +327,32 @@ def test_search_matches_the_per_bit_oracle():
     # the benchmark's sizes: g_3 to t = 150, g_4 to 60, g_5 to 45
     for m, t_max in [(1, 150), (2, 150), (3, 150), (4, 60), (5, 45), (6, 34)]:
         for t_min in (0, 1, t_max // 2, t_max):
-            args = (m, t_min, t_max, UNLIMITED, None, False)
-            assert whole_search(m, t_min, t_max, False) == per_bit_search(*args)
-        for first in range(1, _first_gap_bound(m, t_max, m >= 2) + 1):
-            args = (m, 1, t_max, UNLIMITED, first, False)
+            args = (m, t_min, t_max, UNLIMITED, None)
+            assert whole_search(m, t_min, t_max) == per_bit_search(*args)
+        for first in range(1, _first_gap_bound(m, t_max) + 1):
+            args = (m, 1, t_max, UNLIMITED, first)
             assert part_search(*args) == per_bit_search(*args)
 
 
-def test_enumeration_matches_the_per_bit_oracle():
+def test_single_length_search_matches_the_per_bit_oracle():
+    # optimal_length searches one length at a time
     for m, lengths in [(1, [1, 7]), (2, range(1, 31)), (3, range(1, 41)), (4, range(9, 31)),
                        (5, range(15, 31)), (6, range(23, 31))]:
         for t in lengths:
-            args = (m, t, t, UNLIMITED, None, True)
-            expected = per_bit_search(*args)
-            assert whole_search(m, t, t, True) == expected
-            assert enumerate_golomb_rulers(m, t) == expected[0]
-            for first in range(1, t - m + 2):
-                args = (m, t, t, UNLIMITED, first, True)
+            args = (m, t, t, UNLIMITED, None)
+            assert whole_search(m, t, t) == per_bit_search(*args)
+            for first in range(1, _first_gap_bound(m, t) + 1):
+                args = (m, t, t, UNLIMITED, first)
                 assert part_search(*args) == per_bit_search(*args)
 
 
 @given(st.integers(1, 5), st.integers(0, 36), st.integers(0, 36))
 def test_search_matches_the_per_bit_oracle_random(m, a, b):
     t_min, t_max = min(a, b), max(a, b)
-    for collect in (False, True):
-        lo = t_max if collect else t_min
-        args = (m, lo, t_max, UNLIMITED, None, collect)
-        assert whole_search(m, lo, t_max, collect) == per_bit_search(*args)
+    assert whole_search(m, t_min, t_max) == per_bit_search(m, t_min, t_max, UNLIMITED, None)
 
 
-@pytest.mark.parametrize("search", ["count", "collect", "census"], ids=["False", "True", "census"])
+@pytest.mark.parametrize("search", ["count", "census"])
 def test_parallel_search_stops_at_the_first_total_over_budget(monkeypatch, search):
     # the parts arrive in first-choice order: once the first two exceed the
     # budget, no later part may decide the outcome
@@ -396,12 +365,11 @@ def test_parallel_search_stops_at_the_first_total_over_budget(monkeypatch, searc
             golomb_graph._census(5, budget, jobs=2)
     else:
         # m = 4, t = 30 splits on the first gap
-        collect = search == "collect"
         module, name, choice = rulers, "_search", 4
-        first_two = [(4, 30, 30, UNLIMITED, g, collect) for g in (1, 2)]
+        first_two = [(4, 30, 30, UNLIMITED, g) for g in (1, 2)]
 
         def run(budget):
-            rulers._run_search(4, 30, 30, budget, 2, collect)
+            golomb_counts(4, 30, 30, budget=budget, jobs=2)
     original = getattr(module, name)
     nodes = [original(*args)[1] for args in first_two]
     budget = sum(nodes) - 1
