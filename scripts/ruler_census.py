@@ -12,14 +12,13 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--m", type=int, default=3, help="number of gaps")
     parser.add_argument("--t-max", type=int, default=35)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
     shortest = optimal_length(args.m)
     print(f"m={args.m}: shortest Golomb ruler length {shortest}")
     start = time.perf_counter()
     if args.t_max >= shortest:
-        for t, count in golomb_counts(args.m, shortest, args.t_max, jobs=args.jobs).items():
+        for t, count in golomb_counts(args.m, shortest, args.t_max).items():
             print(f"{t}\t{count}")
     print(f"# {time.perf_counter() - start:.2f}s")
 

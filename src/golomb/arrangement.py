@@ -17,14 +17,25 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, lcm
 from operator import mul
+from typing import Iterator
 
 from golomb.config import resolve_budget
 from golomb.errors import BudgetExceededError
-from golomb.rulers import Interval, dpcs_pairs
 
+Interval = tuple[int, int]
 Normal = tuple[int, ...]
 Vector = tuple[int, ...]
 Point = tuple[Fraction, ...]
+
+
+def dpcs_pairs(m: int) -> Iterator[tuple[Interval, Interval]]:
+    """All pairs of disjoint proper consecutive index intervals
+    ((a, b), (c, d)) with 1 <= a <= b < c <= d <= m."""
+    for b in range(1, m):
+        for a in range(1, b + 1):
+            for c in range(b + 1, m + 1):
+                for d in range(c, m + 1):
+                    yield (a, b), (c, d)
 
 
 def _normal(blocks: tuple[Interval, Interval], m: int) -> Normal:

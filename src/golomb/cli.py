@@ -62,6 +62,14 @@ def _t_values(args) -> list[int]:
     return list(range(args.t_min, args.t_max + 1))
 
 
+def _refuse(args, options: tuple[str, ...], where: str) -> None:
+    """A usage error naming the first of `options` given: `where` never
+    reads them."""
+    for option in options:
+        if getattr(args, option[2:].replace("-", "_")) is not None:
+            raise _UsageError(f"{where} does not take {option}")
+
+
 def _load_graph(args) -> mixed_graphs.MixedGraph:
     if args.fixture and args.input:
         raise _UsageError("give either --input or --fixture, not both")
@@ -95,7 +103,7 @@ def _cmd_golomb_count(args):
             raise _UsageError("--m is required")
         m = args.m
         ts = _t_values(args)
-    counts = golomb_counts(m, ts[0], ts[-1], budget=args.budget, jobs=args.jobs)
+    counts = golomb_counts(m, ts[0], ts[-1], budget=args.budget)
     rows = [(t, counts[t]) for t in ts]
     payload = {"m": m, "rows": [{"t": t, "count": c} for t, c in rows]}
     mismatches = []
@@ -152,9 +160,7 @@ def _regions_arguments(p):
 
 
 def _cmd_regions(args):
-    orientations = golomb_graph.enumerate_constrained_orientations(
-        args.m, budget=args.budget, jobs=args.jobs
-    )
+    orientations = golomb_graph.enumerate_constrained_orientations(args.m, budget=args.budget)
     payload = {"m": args.m, "count": len(orientations)}
     if args.list:
         payload["orientations"] = [list(o.labels()) for o in orientations]
@@ -178,6 +184,7 @@ def _reciprocity_arguments(p):
 
 def _cmd_reciprocity(args):
     if args.mode == "golomb":
+        _refuse(args, ("--input", "--fixture"), "golomb mode")
         if args.m is None:
             raise _UsageError("golomb mode needs --m")
         report = reciprocity_check_golomb(args.m, _t_values(args), budget=args.budget)
@@ -189,6 +196,7 @@ def _cmd_reciprocity(args):
             "rows": [{"t": t, "lhs": lhs, "rhs": rhs, "ok": ok} for t, lhs, rhs, ok in rows],
         }
     else:
+        _refuse(args, ("--m", "--t-min", "--t-max"), "mixed mode")
         graph = _load_graph(args)
         if args.t is None:
             raise _UsageError("mixed mode needs --t")
@@ -218,6 +226,8 @@ def _mixed_arguments(p):
 
 
 def _cmd_mixed(args):
+    if args.action != "chroma":
+        _refuse(args, ("--t",), f"mixed {args.action}")
     graph = _load_graph(args)
     text = args.format == "text"
     table = None
@@ -298,7 +308,8 @@ def _add_arguments(p: _Parser, command: _Command) -> _Parser:
     """Give p the options every command shares, then the command's own."""
     p.add_argument("--budget", type=int, default=None,
                    help=f"search node budget (default {BUDGET_ENV_VAR} or 10^9)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for enumerations")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="must be 1: every search runs in this process")
     p.add_argument("--output", default=None, help="write output to this path instead of stdout")
     p.add_argument("--format", choices=command.formats, default="text")
     command.add_arguments(p)
@@ -346,8 +357,8 @@ def main(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
         args.budget = resolve_budget(args.budget)
-        if args.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+        if args.jobs != 1:
+            raise ValueError("jobs must be 1: every search runs in one process")
         code, payload, table = args.func(args)
         _write(args, payload, table)
         return code

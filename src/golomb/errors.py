@@ -13,9 +13,6 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
         self.where = where
 
-    def __reduce__(self):  # lets the error cross from a pool worker to the parent
-        return type(self), (self.budget, self.where)
-
 
 class InterpolationError(ValueError):
     """Base class for failures of the per-residue interpolation."""

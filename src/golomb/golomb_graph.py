@@ -24,12 +24,11 @@ complete, so every surviving order is then decided exactly: a fraction-free
 simplex either produces a rational gap vector realizing the order (checked
 against every inequality) or a Farkas certificate that none exists (also
 checked). Without the propagation m = 6 (20 vertices, 107498 admissible
-orders) is out of reach; with it the m = 6 census takes well under a minute
-in one process.
+orders) is out of reach; with it the m = 6 census takes well under a minute.
 
-The search runs in parts through config.run_parts, one per first placed
-interval, each counting that placement as its own node; the survivors
-reach the simplex only once the nodes of all parts have passed the budget.
+The search places every first interval in turn, each placement one node,
+and the budget caps its nodes: the survivors reach the simplex only once
+the whole search has finished within it.
 
 The per-m tables the search reads live on one record in one explicit
 cache, `_TABLES`.
@@ -38,10 +37,9 @@ cache, `_TABLES`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from golomb.arrangement import Interval, golomb_hyperplanes, hyperplane_blocks
-from golomb.config import DEFAULT_M_BOUND, resolve_budget, run_parts
+from golomb.config import DEFAULT_M_BOUND, resolve_budget
 from golomb.errors import BudgetExceededError
 from golomb.mixed_graphs import MixedGraph
 from golomb.simplex import strict_cone_feasibility
@@ -169,11 +167,12 @@ def _tables(m: int) -> _Tables:
     return tables
 
 
-def _enumerate_orders(m: int, limit: int, first: int) -> tuple[list[tuple[int, ...]], int]:
-    """Depth-first enumeration of the admissible total orders that place
-    vertex `first` first, as tuples of vertex indices, together with the
-    number of search nodes it visited, that first placement included.
-    Deterministic: candidates are tried in index order."""
+def _enumerate_orders(m: int, limit: int) -> list[tuple[int, ...]]:
+    """Depth-first enumeration of the admissible total orders, as tuples of
+    vertex indices. Each placement, the first one too, is a node, and the
+    search raises BudgetExceededError at its first node over `limit`.
+    Deterministic: candidates, the first placement among them, are tried
+    in index order."""
     tables = _tables(m)
     pair_info = tables.pair_info
     class_edges = tables.class_edges
@@ -254,8 +253,9 @@ def _enumerate_orders(m: int, limit: int, first: int) -> tuple[list[tuple[int, .
         for k in applied:
             sigma[k] = 0
 
-    visit(first, 0)
-    return out, nodes
+    for first in range(tables.n):
+        visit(first, 0)
+    return out
 
 
 def _chain_rows(order: tuple[Interval, ...], m: int) -> list[tuple[int, ...]]:
@@ -277,45 +277,30 @@ def _chain_rows(order: tuple[Interval, ...], m: int) -> list[tuple[int, ...]]:
     return rows
 
 
-def _realizable_orders(m: int, budget: int, orders: list) -> tuple[list, int]:
-    """The orders, as vertex index tuples, that some gap vector realizes,
-    and the search nodes spent, none: a census part for run_parts."""
-    intervals = _tables(m).intervals
-    return [
-        o for o in orders
-        if strict_cone_feasibility(_chain_rows(tuple(intervals[v] for v in o), m))
-    ], 0
-
-
 def enumerate_constrained_orientations(
-    m: int, *, budget: int | None = None, jobs: int = 1
+    m: int, *, budget: int | None = None
 ) -> tuple[GolombOrientation, ...]:
     """All admissible total orders of the intervals, in a fixed depth-first
     order, each certified realizable by an exact feasibility check. Their
     number equals the number of cells of the subdivided simplex and so the
     number of combinatorially different Golomb rulers.
 
-    The parts, one per first placement, are joined in index order, so the
-    output and the nodes the budget caps are the same for any jobs. m above
-    DEFAULT_M_BOUND is refused: the census would be astronomically large.
+    The budget caps the nodes of the search, which finishes before any
+    survivor reaches the simplex, so a census over budget raises without
+    an LP. m above DEFAULT_M_BOUND is refused: the census would be
+    astronomically large.
     """
-    return _census(m, resolve_budget(budget), jobs)[0]
-
-
-def _census(m: int, limit: int, jobs: int = 1) -> tuple[tuple[GolombOrientation, ...], int]:
-    """enumerate_constrained_orientations, plus the search nodes it used,
-    the same for any jobs. A budget below that number makes the census
-    raise, before any survivor reaches the simplex."""
+    limit = resolve_budget(budget)
     if m > DEFAULT_M_BOUND:
         raise ValueError(f"m={m} is above the enumeration bound {DEFAULT_M_BOUND}")
     tables = _tables(m)
     if tables.n == 0:
-        return (GolombOrientation(m, ()),), 0
-    where = "admissible orientation search"
-    found, chunks = [], []
-    nodes = run_parts(partial(_enumerate_orders, m), range(tables.n), limit, jobs, where, found.append)
-    run_parts(partial(_realizable_orders, m), found, limit, jobs, where, chunks.append)
+        return (GolombOrientation(m, ()),)
+    # the whole search runs here, before the first LP
+    found = _enumerate_orders(m, limit)
+    orders = (tuple(tables.intervals[v] for v in o) for o in found)
     return tuple(
-        GolombOrientation(m, tuple(tables.intervals[v] for v in o))
-        for chunk in chunks for o in chunk
-    ), nodes
+        GolombOrientation(m, order)
+        for order in orders
+        if strict_cone_feasibility(_chain_rows(order, m))
+    )

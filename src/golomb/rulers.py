@@ -18,41 +18,25 @@ last mark every allowed length is a ruler, so the node that places mark
 m-1 reads its children's windows of last marks inline and adds each
 window, a mask over lengths, to bit-sliced counters: one search counts
 every length of a range at once, with no call and no loop per ruler, and
-each part's counters are added in the same form as the part returns, and
-read once. Every search with m >= 2 uses gap reversal: no Golomb ruler
-has z_1 = z_m (they are the differences of two distinct pairs of marks),
-reversal swaps them, so the search keeps only z_m > z_1, prunes every
-level by that bound on the last gap, and doubles the result.
+the counters are read once, when it ends. Every search with m >= 2 uses
+gap reversal: no Golomb ruler has z_1 = z_m (they are the differences of
+two distinct pairs of marks), reversal swaps them, so the search keeps
+only z_m > z_1, prunes every level by that bound on the last gap, and
+doubles the result.
 
 A search node is one candidate gap examined: each level adds its window
 width before walking its bits, the last mark's level too, although it is
-read inline rather than called. The search runs in parts, one per first
-gap, each counting its own first gap as one node, so the parts add up to
-the nodes of one whole search; config.run_parts runs them in first-gap
-order, and the first running total over the node budget raises.
+read inline rather than called, and each first gap is one node. The
+search raises as soon as its node total passes the budget.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import count
 from math import comb
-from typing import Iterator
 
-from golomb.config import resolve_budget, run_parts
+from golomb.config import resolve_budget
 from golomb.errors import BudgetExceededError
-
-Interval = tuple[int, int]
-
-
-def dpcs_pairs(m: int) -> Iterator[tuple[Interval, Interval]]:
-    """All pairs of disjoint proper consecutive index intervals
-    ((a, b), (c, d)) with 1 <= a <= b < c <= d <= m."""
-    for b in range(1, m):
-        for a in range(1, b + 1):
-            for c in range(b + 1, m + 1):
-                for d in range(c, m + 1):
-                    yield (a, b), (c, d)
 
 
 def markings(gaps) -> tuple[int, ...]:
@@ -82,9 +66,7 @@ def is_golomb(gaps) -> bool:
     return True
 
 
-def golomb_counts(
-    m: int, t_min: int, t_max: int, *, budget: int | None = None, jobs: int = 1
-) -> dict[int, int]:
+def golomb_counts(m: int, t_min: int, t_max: int, *, budget: int | None = None) -> dict[int, int]:
     """g_m(t), the number of Golomb gap vectors with m positive entries
     summing to t, for every t_min <= t <= t_max, from one search.
 
@@ -98,35 +80,19 @@ def golomb_counts(
         raise ValueError("t must be >= 0")
     if t_max < t_min:
         raise ValueError("t_max must be >= t_min")
-    counts = _run_search(m, t_min, t_max, resolve_budget(budget), jobs)[0]
+    counts = _run_search(m, t_min, t_max, resolve_budget(budget))[0]
     return {t: counts[t] for t in range(t_min, t_max + 1)}
 
 
-def _run_search(m: int, t_min: int, t_max: int, node_budget: int, jobs: int):
-    """The counts by length 0 .. t_max and the nodes spent: one search per
-    first gap, run by config.run_parts once the budget covers _node_floor,
-    each part's bit-sliced counters added to the total as it arrives."""
+def _run_search(m: int, t_min: int, t_max: int, node_budget: int):
+    """The counts by length 0 .. t_max and the nodes spent by the one
+    search, run once the budget covers _node_floor."""
     check_node_floor(m, t_min, t_max, node_budget)
-    # each part's counters ripple into the total from their own plane; the
-    # total, at most the nodes and so the budget, is read once
-    total = [0] * node_budget.bit_length()
-
-    def add(planes) -> None:
-        for i, mask in enumerate(planes):
-            while mask:
-                p = total[i]
-                total[i] = p ^ mask
-                mask &= p
-                i += 1
-
-    firsts = range(1, _first_gap_bound(m, t_max) + 1)
-    nodes = run_parts(
-        partial(_search, m, t_min, t_max), firsts, node_budget, jobs, "golomb ruler search", add
-    )
+    planes, nodes = _search(m, t_min, t_max, node_budget)
     # for m >= 2 each counted ruler stands for itself and its reversal
     weight = 2 if m >= 2 else 1
     counts = [0] * (t_max + 1)
-    for i, p in enumerate(total):
+    for i, p in enumerate(planes):
         while p:
             low = p & -p
             p ^= low
@@ -137,7 +103,7 @@ def _run_search(m: int, t_min: int, t_max: int, node_budget: int, jobs: int):
 def check_node_floor(m: int, t_min: int, t_max: int, node_budget: int) -> None:
     """Raise BudgetExceededError when the search over lengths t_min .. t_max
     needs more nodes than node_budget by _node_floor. Every search makes
-    this check before its parts run; a caller with other work to do before
+    this check before it starts; a caller with other work to do before
     a count can make it first."""
     floor = _node_floor(m, t_min, t_max)
     if floor > node_budget:
@@ -164,16 +130,16 @@ def _node_floor(m: int, t_min: int, t_max: int) -> int:
 
 
 def _first_gap_bound(m: int, t_max: int) -> int:
-    """Largest first gap of a kept ruler with m gaps and length at most
-    t_max; for m >= 2 the last gap must exceed it as well."""
-    return (t_max - m + 1) // 2 if m >= 2 else t_max
+    """Largest first gap of a kept ruler with m >= 2 gaps and length at
+    most t_max: the last gap must exceed it."""
+    return (t_max - m + 1) // 2
 
 
-def _search(m: int, t_min: int, t_max: int, node_budget: int, first_gap: int):
-    """One depth-first search over the marks after a first gap of at most
-    _first_gap_bound(m, t_max): the bit-sliced counters by length
-    0 .. t_max of the rulers it keeps (with z_m > z_1 for m >= 2), and the
-    nodes it examined, that gap included.
+def _search(m: int, t_min: int, t_max: int, node_budget: int):
+    """The depth-first search over the marks, every first gap in turn: the
+    bit-sliced counters by length 0 .. t_max of the rulers it keeps (with
+    z_m > z_1 for m >= 2), and the nodes it examined, one per first gap
+    among them.
 
     seen has bit d for every difference d of the marks placed so far, back
     has bit t_max - x for every placed mark x, and a mark y is allowed next
@@ -193,11 +159,12 @@ def _search(m: int, t_min: int, t_max: int, node_budget: int, first_gap: int):
     budget.
     """
     if m == 1:
-        # the one gap is the length, a node when it is one asked for
-        nodes = int(first_gap >= t_min)
+        # the one gap is the length, a node for each length asked for
+        lo = max(t_min, 1)
+        nodes = max(t_max - lo + 1, 0)
         if nodes > node_budget:
             raise BudgetExceededError(node_budget, "golomb ruler search")
-        return [nodes << first_gap], nodes
+        return [(1 << (t_max + 1)) - (1 << lo)], nodes
     top = 1 << (t_max + 1)
     # every count is at most the nodes spent, so at most the budget, and
     # fits in its bit length of planes
@@ -212,6 +179,7 @@ def _search(m: int, t_min: int, t_max: int, node_budget: int, first_gap: int):
             lo = x + 1
             hi = t_max - (m - k - 1) - first_gap
         else:
+            # the first gap, one node, set by the loop below
             lo = hi = first_gap
         if hi < lo:
             return
@@ -249,7 +217,8 @@ def _search(m: int, t_min: int, t_max: int, node_budget: int, first_gap: int):
                 last &= p
                 i += 1
 
-    rec(0, 0, 0, 1 << t_max, 0)
+    for first_gap in range(1, _first_gap_bound(m, t_max) + 1):
+        rec(0, 0, 0, 1 << t_max, 0)
     return planes, nodes
 
 
@@ -268,7 +237,7 @@ def optimal_length(m: int, *, budget: int | None = None) -> int:
     used = 0
     for t in count(m * (m + 1) // 2):
         try:
-            counts, nodes = _run_search(m, t, t, limit - used, 1)
+            counts, nodes = _run_search(m, t, t, limit - used)
         except BudgetExceededError as exc:
             raise BudgetExceededError(limit, exc.where) from None
         if counts[t]:

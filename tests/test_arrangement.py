@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from golomb.arrangement import (
     _split,
+    dpcs_pairs,
     golomb_hyperplanes,
     hyperplane_blocks,
     iop_vertices,
@@ -17,7 +18,6 @@ from golomb.arrangement import (
 )
 from golomb.cli import main
 from golomb.errors import BudgetExceededError
-from golomb.rulers import dpcs_pairs
 
 from normals import canonical_normal
 

@@ -172,14 +172,13 @@ def test_one_ruler_search_per_command(capsys, monkeypatch, argv):
     from golomb import rulers
 
     calls = []
-    original = rulers.run_parts
+    original = rulers._search
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    # every ruler search runs its first-gap parts through this one driver
-    monkeypatch.setattr(rulers, "run_parts", counted)
+    monkeypatch.setattr(rulers, "_search", counted)
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0 and len(calls) == 1
 
@@ -247,6 +246,54 @@ def test_the_command_parser_reads_what_the_full_parser_reads(argv):
     full = vars(cli.build_parser().parse_args(argv))
     assert full.pop("command") == argv[0]
     assert own == full
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make every computation a refused command line could start fail."""
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the command line was refused")
+
+    monkeypatch.setattr(cli, "reciprocity_check_golomb", never)
+    monkeypatch.setattr(cli, "_load_graph", never)
+    monkeypatch.setattr(cli, "golomb_counts", never)
+    monkeypatch.setattr(cli.golomb_graph, "enumerate_constrained_orientations", never)
+
+
+def first_word(argv):
+    return argv[0]
+
+
+@pytest.mark.parametrize("option", [("--input", "g.json"), ("--fixture", "triangle")], ids=first_word)
+def test_golomb_reciprocity_refuses_graph_options(capsys, no_work, option):
+    code, out, err = run_cli(capsys, "reciprocity", "golomb", "--m", "3", "--t", "2", *option)
+    assert (code, out, err) == (1, "", f"error: golomb mode does not take {option[0]}\n")
+
+
+@pytest.mark.parametrize("option", [("--m", "4"), ("--t-min", "0"), ("--t-max", "9")], ids=first_word)
+def test_mixed_reciprocity_refuses_golomb_and_range_options(capsys, no_work, option):
+    argv = ["reciprocity", "mixed", "--fixture", "triangle", "--t", "2", *option]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: mixed mode does not take {option[0]}\n")
+
+
+@pytest.mark.parametrize("action", ["orientations", "chromatic-number"])
+def test_mixed_actions_without_colors_refuse_t(capsys, no_work, action):
+    code, out, err = run_cli(capsys, "mixed", action, "--fixture", "triangle", "--t", "5")
+    assert (code, out, err) == (1, "", f"error: mixed {action} does not take --t\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [("golomb-count", "--m", "4", "--t", "30"), ("regions", "--m", "5")], ids=first_word
+)
+@pytest.mark.parametrize("jobs", ["0", "2"])
+def test_jobs_other_than_one_is_refused(capsys, no_work, argv, jobs):
+    code, out, err = run_cli(capsys, *argv, "--jobs", jobs)
+    assert (code, out, err) == (1, "", "error: jobs must be 1: every search runs in one process\n")
+
+
+def test_jobs_one_is_accepted(capsys):
+    assert run_cli(capsys, "regions", "--m", "3", "--jobs", "1") == (0, "m = 3\ncount = 10\n", "")
 
 
 def test_reciprocity_mixed_input_file(tmp_path, capsys):
@@ -414,6 +461,6 @@ def test_module_entry_point():
 
 
 def test_importing_the_cli_leaves_multiprocessing_unloaded():
-    # only run_parts's pool path imports it
+    # no search starts a process
     proc = run_python("-c", "import sys, golomb.cli; print('multiprocessing' in sys.modules)")
     assert proc.returncode == 0 and proc.stdout == "False\n"

@@ -9,11 +9,11 @@ graph were rebuilt; the last three rows, the benchmark's exact
 reciprocity commands, before the reciprocity sum moved from compositions
 to lines; the three `golomb-count` rows at the benchmark's sizes before the
 ruler search passed its forbidden-mark mask down and counted last marks
-with bit-sliced counters; the two `--jobs 2` rows, whose digests equal
-those of the serial rows above, before both split searches moved onto one
-driver; the last two reciprocity rows before the multiplicity sum moved
-from the orientation census to the intersection lattice); any change to a
-single byte of any format fails here.
+with bit-sliced counters; the last two reciprocity rows before the
+multiplicity sum moved from the orientation census to the intersection
+lattice). The two `--jobs 2` rows pin a refusal, empty stdout and exit
+code 1, since every search runs in one process; any change to a single
+byte of any format fails here.
 
 `HELP` pins the stdout of `golomb -h` and of `golomb <command> -h` for all
 six commands at COLUMNS=80, and `USAGE_ERRORS` the stderr of four usage
@@ -21,9 +21,11 @@ errors: a missing `--m`, a bad `--format` choice, an unknown option and an
 unknown command. Both were taken before `main` began to parse a command
 line with the named command's parser alone; the `quasipoly -h` row was
 taken again when `quasipoly` lost its `--period` option, and differs from
-the old one only by that option's two lines. argparse words and lays out
-these texts differently from one Python version to the next, so they are
-pinned for CPython 3.11 only.
+the old one only by that option's two lines; all six `<command> -h` rows
+were taken again when the help line of `--jobs` changed, and differ from
+the old ones only by that line. argparse words and lays out these texts
+differently from one Python version to the next, so they are pinned for
+CPython 3.11 only.
 """
 
 import hashlib
@@ -70,8 +72,8 @@ reciprocity golomb --m 3 --t 2000 --format json  f0bddf440b74b6625440696cd1d4f48
 golomb-count --m 3 --t-min 1 --t-max 150 --format json  b44cf3b056ca830560c8d6bda6ecdef4d23c3cc4278e1562b829893b176732ed 0
 golomb-count --m 4 --t-min 1 --t-max 60 --format json  cb9bc407ac83e72964deedc42437876386e498d2951f8dbb15713e5751fcc5bd 0
 golomb-count --m 5 --t-min 1 --t-max 45 --format json  0404bc9972cc4fc340bd5ffbd8bcc5247b61ffa42ba7ae3182ddab65c4f213dd 0
-golomb-count --m 4 --t-min 1 --t-max 60 --jobs 2 --format json  cb9bc407ac83e72964deedc42437876386e498d2951f8dbb15713e5751fcc5bd 0
-regions --m 5 --list --jobs 2 --format json  5dac1e08a431352ed374b8de84e89abf1ad23ddd00bc06ee94e5f6ad028f2ccd 0
+golomb-count --m 4 --t-min 1 --t-max 60 --jobs 2 --format json  e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 1
+regions --m 5 --list --jobs 2 --format json  e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 1
 reciprocity golomb --m 3 --t-min 0 --t-max 40 --format text  2eb3d1f27366caeab06075f015f795c55002f00b7b5e7b13ca95b441981ed980 0
 reciprocity golomb --m 1 --t-min 0 --t-max 5 --format json  2e5d282a9d0a1366df1e98cf6575e5d09b128b3f14665f8ba64b89581bf6d4b9 0
 """
@@ -97,12 +99,12 @@ def test_output_file_is_pinned(capsys, tmp_path):
 
 HELP = """
 -h               45a085906196439b549c7c328223a9da7bf56ef0de61c55f40965a14c616da2d
-golomb-count -h  d85c017f4a9b67a4395e867899082099d93958a48675c6bb79b9f111da261fb8
-quasipoly -h     772770efd270fcf579bba99535f3038d25c3fc0adae70da68e02932b818a92a5
-regions -h       468807c46293da8a1e077b74db66be0e72e664ce8392a99814736d6e87778a1d
-reciprocity -h   fe8a8a7689e7cea3d47db5d397265e84feaf2081895ac60c6c36dae01b4e9998
-mixed -h         163da51c7f90b31607e410f1e0f1c1a30456bd06514edd68d956bcf8301504ca
-vertices -h      4218b5ec3851818427dc1247f3ea6bdc9c6c885c69fa529bac49c09be9b99959
+golomb-count -h  b189b710c011df12cad194cb571a35062b43a25443c896e2151c43109a38539a
+quasipoly -h     5bf41ecfb323d26f9c05da79e5db5be36ef5ab6e00ba8516608bc11f34e8370a
+regions -h       f770b2b7c17c90fcfaa2929cd3a0b0f465da0db501c4c54cafbe59de4253c4dc
+reciprocity -h   6c833fdc2bde7a8eb2e56991cdfe58744316e6ca5b0f025c8d37e4b989cbee9f
+mixed -h         4aa8cb842a95343b226cefeef4f9043f022a39577004a858d9c2a2ff4180da55
+vertices -h      5e5033716ae9758170bd26f52247ad5d9ffdf5d447401738cac84859750becd2
 """
 HELP_CASES = [line.rsplit(None, 1) for line in HELP.strip().splitlines()]
 USAGE_ERRORS = [

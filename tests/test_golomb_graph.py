@@ -221,16 +221,11 @@ def test_orders_extend_containment():
         assert pos[(3, 3)] < pos[(2, 3)]
 
 
-def test_parallel_enumeration_matches_serial():
-    serial = enumerate_constrained_orientations(4)
-    assert enumerate_constrained_orientations(4, jobs=3) == serial
-
-
 def test_m5_survivors_are_decided_with_certificates():
     from golomb.golomb_graph import _chain_rows, _enumerate_orders, _tables
 
     intervals = _tables(5).intervals
-    orders = [o for v in range(len(intervals)) for o in _enumerate_orders(5, 10**9, v)[0]]
+    orders = _enumerate_orders(5, 10**9)
     infeasible = 0
     for o in orders:
         rows = _chain_rows(tuple(intervals[v] for v in o), 5)
@@ -248,25 +243,24 @@ def test_m5_survivors_are_decided_with_certificates():
 def test_enumeration_bound_and_budget():
     with pytest.raises(ValueError):
         enumerate_constrained_orientations(7)
-    # the m=4 census visits 1625 nodes: 9 first placements and 1616 below
-    # them, at most 459 in one partition; the budget caps the total for any jobs
-    for jobs in (1, 2):
-        assert len(enumerate_constrained_orientations(4, budget=1625, jobs=jobs)) == 114
-        for budget in (50, 460, 1624):
-            with pytest.raises(BudgetExceededError):
-                enumerate_constrained_orientations(4, budget=budget, jobs=jobs)
+    # the m=4 census visits 1625 nodes: 9 first placements and 1616 below them
+    assert len(enumerate_constrained_orientations(4, budget=1625)) == 114
+    for budget in (50, 460, 1624):
+        with pytest.raises(BudgetExceededError):
+            enumerate_constrained_orientations(4, budget=budget)
 
 
-def test_parallel_census_fails_before_the_simplex(monkeypatch):
+def test_census_fails_before_the_simplex(monkeypatch):
     import golomb.golomb_graph as golomb_graph
 
     def no_lp(rows):
         raise AssertionError("the simplex ran although the search was over budget")
 
-    # the m=5 census visits 70997 nodes; the forked workers inherit the patch
+    # the m=5 census visits 70997 nodes and keeps 2608 of its survivors
+    assert len(enumerate_constrained_orientations(5, budget=70997)) == 2608
     monkeypatch.setattr(golomb_graph, "strict_cone_feasibility", no_lp)
-    with pytest.raises(BudgetExceededError):
-        golomb_graph._census(5, 70996, jobs=2)
+    with pytest.raises(BudgetExceededError, match="budget of 70996 nodes"):
+        enumerate_constrained_orientations(5, budget=70996)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=6))

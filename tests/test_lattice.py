@@ -136,7 +136,7 @@ def test_multiplicity_never_runs_the_census(monkeypatch):
     def no_census(*args, **kwargs):
         raise AssertionError("multiplicity ran the orientation census")
 
-    monkeypatch.setattr(golomb_graph, "_census", no_census)
+    monkeypatch.setattr(golomb_graph, "_enumerate_orders", no_census)
     monkeypatch.setattr(lattice_module, "_LATTICES", {})
     gaps = [(7,), (2, 2), (1, 1, 1), (1, 2, 3, 5), (1, 1, 1, 1, 1)]
     assert [multiplicity(z) for z in gaps] == [1, 2, 6, 4, 250]
@@ -206,7 +206,7 @@ def test_reciprocity_needs_no_census(monkeypatch, capsys):
     def no_census(*args, **kwargs):
         raise AssertionError("the reciprocity sum ran the orientation census")
 
-    monkeypatch.setattr(golomb_graph, "_census", no_census)
+    monkeypatch.setattr(golomb_graph, "_enumerate_orders", no_census)
     monkeypatch.setattr(golomb_graph, "_TABLES", {})
     for m in (1, 2, 3):
         report = reciprocity_check_golomb(m, range(13))

@@ -4,15 +4,14 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-import golomb.golomb_graph as golomb_graph
 import golomb.rulers as rulers
+from golomb.arrangement import dpcs_pairs
 from golomb.errors import BudgetExceededError
 from golomb.rulers import (
     _first_gap_bound,
     _node_floor,
     _run_search,
     _search,
-    dpcs_pairs,
     golomb_counts,
     is_golomb,
     markings,
@@ -51,11 +50,11 @@ def golomb_filter(m, t):
     return [z for z in positive_compositions(m, t) if is_golomb_by_interval_sums(z)]
 
 
-def per_bit_search(m, t_min, t_max, node_budget, first_gap):
+def per_bit_search(m, t_min, t_max, node_budget):
     """The ruler search as it stood before the forbidden-mark mask was
     passed down: every node rebuilds OR_x (seen << x) from all placed marks,
     and every last mark is one call that walks its window bit by bit. Same
-    arguments, counts by length and node totals as `rulers._search`."""
+    arguments and node totals as `rulers._search`, with counts by length."""
     halve = m >= 2
     counts = [0] * (t_max + 1)
     marks = [0]
@@ -77,10 +76,6 @@ def per_bit_search(m, t_min, t_max, node_budget, first_gap):
         else:
             lo = x + 1
             hi = t_max - (m - k - 1) - lead
-        if k == 0 and first_gap is not None:
-            # for m = 1 the first gap is the last one
-            lo = max(lo, first_gap)
-            hi = min(hi, first_gap)
         if hi < lo:
             return
         nodes += hi - lo + 1
@@ -208,14 +203,11 @@ def test_optimal_length_shares_one_budget():
 
 
 def test_budget_exhaustion():
-    # counting m=4, t=30 keeps only z_4 > z_1 and examines 3110 nodes, its
-    # largest first-gap part 628: the budget caps the total for any number
-    # of jobs
-    for jobs in (1, 2):
-        assert golomb_counts(4, 30, 30, budget=3110, jobs=jobs)[30] == 1880
-        for budget in (10, 2000, 3109):
-            with pytest.raises(BudgetExceededError):
-                golomb_counts(4, 30, 30, budget=budget, jobs=jobs)
+    # counting m=4, t=30 keeps only z_4 > z_1 and examines 3110 nodes
+    assert golomb_counts(4, 30, 30, budget=3110)[30] == 1880
+    for budget in (10, 2000, 3109):
+        with pytest.raises(BudgetExceededError):
+            golomb_counts(4, 30, 30, budget=budget)
 
 
 def test_node_floor_bounds_the_search():
@@ -223,17 +215,17 @@ def test_node_floor_bounds_the_search():
     for m, t_max, floor, nodes in [(2, 60, 855, 899), (3, 150, 248115, 274750),
                                    (4, 60, 24832, 214568)]:
         assert _node_floor(m, 1, t_max) == floor
-        assert _run_search(m, 1, t_max, UNLIMITED, 1)[1] == nodes
+        assert _run_search(m, 1, t_max, UNLIMITED)[1] == nodes
     for m, t_max in [(1, 40), (2, 60), (3, 150), (4, 60), (5, 40)]:
         for t_min in (0, 1, 2, t_max // 2, t_max):
-            assert _node_floor(m, t_min, t_max) <= _run_search(m, t_min, t_max, UNLIMITED, 1)[1]
+            assert _node_floor(m, t_min, t_max) <= _run_search(m, t_min, t_max, UNLIMITED)[1]
     # g_4 to t = 3360, what quasipoly --m 4 asks for, cannot fit in 10^9
     assert _node_floor(4, 1, 3360) > 2 * 10**12
 
 
 def test_search_refuses_a_budget_below_its_floor(monkeypatch):
     def never(*args, **kwargs):
-        raise AssertionError("a part ran although the floor exceeds the budget")
+        raise AssertionError("the search ran although the floor exceeds the budget")
 
     monkeypatch.setattr(rulers, "_search", never)
     floor = _node_floor(3, 1, 150)
@@ -241,11 +233,9 @@ def test_search_refuses_a_budget_below_its_floor(monkeypatch):
         golomb_counts(3, 1, 150, budget=floor - 1)
 
 
-def test_count_matches_enumeration_serial_and_parallel():
+def test_count_matches_enumeration():
     for m, t in [(1, 4), (2, 9), (3, 18), (4, 20), (5, 30)]:
-        count = golomb_counts(m, t, t)[t]
-        assert count == len(golomb_filter(m, t))
-        assert golomb_counts(m, t, t, jobs=2)[t] == count
+        assert golomb_counts(m, t, t)[t] == len(golomb_filter(m, t))
     with pytest.raises(BudgetExceededError):
         golomb_counts(4, 30, 30, budget=10)
 
@@ -259,23 +249,21 @@ def test_range_counts_match_filter_oracle():
     for m in range(1, 6):
         for t_min, t_max in [(0, 22), (1, 9), (7, 19), (22, 22), (0, 0), (13, 14)]:
             expected = {t: oracle[m, t] for t in range(t_min, t_max + 1)}
-            for jobs in (1, 2):
-                assert golomb_counts(m, t_min, t_max, jobs=jobs) == expected
+            assert golomb_counts(m, t_min, t_max) == expected
 
 
 def test_range_budget_boundary():
-    # one search counts t = 5 .. 25 for m = 4 and examines 4642 nodes, however
-    # the first gaps are split across jobs
+    # one search counts t = 5 .. 25 for m = 4 and examines 4642 nodes
     expected = golomb_counts(4, 5, 25)
-    for jobs in (1, 2):
-        assert golomb_counts(4, 5, 25, budget=4642, jobs=jobs) == expected
-        with pytest.raises(BudgetExceededError):
-            golomb_counts(4, 5, 25, budget=4641, jobs=jobs)
+    assert golomb_counts(4, 5, 25, budget=4642) == expected
+    with pytest.raises(BudgetExceededError):
+        golomb_counts(4, 5, 25, budget=4641)
 
 
 def test_counting_parts_are_added_as_they_arrive():
-    # each m = 1 part is a t-bit counter, so keeping every part until the
-    # last returns would hold about t^2 / 16 bytes, 25 MB at t = 20000
+    # every length adds its rulers to one set of bit-sliced counters; one
+    # t-bit counter per length of m = 1, kept until the search ends, would
+    # hold about t^2 / 16 bytes, 25 MB at t = 20000
     tracemalloc.start()
     try:
         counts = golomb_counts(1, 1, 20000)
@@ -298,40 +286,24 @@ def test_input_validation():
 UNLIMITED = 10**12
 
 
-def part_search(m, t_min, t_max, node_budget, first_gap):
+def whole_search(m, t_min, t_max):
     """`rulers._search` with its bit-sliced counters read bit by bit into
     counts by length (each kept ruler standing for two when m >= 2), the
     form `per_bit_search` returns."""
-    result, nodes = _search(m, t_min, t_max, node_budget, first_gap)
+    planes, nodes = _search(m, t_min, t_max, UNLIMITED)
     weight = 2 if m >= 2 else 1
     counts = [
-        weight * sum((plane >> y & 1) << i for i, plane in enumerate(result))
+        weight * sum((plane >> y & 1) << i for i, plane in enumerate(planes))
         for y in range(t_max + 1)
     ]
     return counts, nodes
-
-
-def whole_search(m, t_min, t_max):
-    """`part_search` over every first gap, summed by length, with the nodes
-    of all parts: what `per_bit_search` returns for the whole search
-    (first_gap=None)."""
-    parts = [
-        part_search(m, t_min, t_max, UNLIMITED, first)
-        for first in range(1, _first_gap_bound(m, t_max) + 1)
-    ]
-    nodes = sum(used for _, used in parts)
-    return [sum(column) for column in zip([0] * (t_max + 1), *(part for part, _ in parts))], nodes
 
 
 def test_search_matches_the_per_bit_oracle():
     # the benchmark's sizes: g_3 to t = 150, g_4 to 60, g_5 to 45
     for m, t_max in [(1, 150), (2, 150), (3, 150), (4, 60), (5, 45), (6, 34)]:
         for t_min in (0, 1, t_max // 2, t_max):
-            args = (m, t_min, t_max, UNLIMITED, None)
-            assert whole_search(m, t_min, t_max) == per_bit_search(*args)
-        for first in range(1, _first_gap_bound(m, t_max) + 1):
-            args = (m, 1, t_max, UNLIMITED, first)
-            assert part_search(*args) == per_bit_search(*args)
+            assert whole_search(m, t_min, t_max) == per_bit_search(m, t_min, t_max, UNLIMITED)
 
 
 def test_single_length_search_matches_the_per_bit_oracle():
@@ -339,94 +311,10 @@ def test_single_length_search_matches_the_per_bit_oracle():
     for m, lengths in [(1, [1, 7]), (2, range(1, 31)), (3, range(1, 41)), (4, range(9, 31)),
                        (5, range(15, 31)), (6, range(23, 31))]:
         for t in lengths:
-            args = (m, t, t, UNLIMITED, None)
-            assert whole_search(m, t, t) == per_bit_search(*args)
-            for first in range(1, _first_gap_bound(m, t) + 1):
-                args = (m, t, t, UNLIMITED, first)
-                assert part_search(*args) == per_bit_search(*args)
+            assert whole_search(m, t, t) == per_bit_search(m, t, t, UNLIMITED)
 
 
 @given(st.integers(1, 5), st.integers(0, 36), st.integers(0, 36))
 def test_search_matches_the_per_bit_oracle_random(m, a, b):
     t_min, t_max = min(a, b), max(a, b)
-    assert whole_search(m, t_min, t_max) == per_bit_search(m, t_min, t_max, UNLIMITED, None)
-
-
-@pytest.mark.parametrize("search", ["count", "census"])
-def test_parallel_search_stops_at_the_first_total_over_budget(monkeypatch, search):
-    # the parts arrive in first-choice order: once the first two exceed the
-    # budget, no later part may decide the outcome
-    if search == "census":
-        # m = 5 splits on the first placed interval, 0 .. 13
-        module, name, choice = golomb_graph, "_enumerate_orders", 2
-        first_two = [(5, UNLIMITED, v) for v in (0, 1)]
-
-        def run(budget):
-            golomb_graph._census(5, budget, jobs=2)
-    else:
-        # m = 4, t = 30 splits on the first gap
-        module, name, choice = rulers, "_search", 4
-        first_two = [(4, 30, 30, UNLIMITED, g) for g in (1, 2)]
-
-        def run(budget):
-            golomb_counts(4, 30, 30, budget=budget, jobs=2)
-    original = getattr(module, name)
-    nodes = [original(*args)[1] for args in first_two]
-    budget = sum(nodes) - 1
-    assert budget >= max(nodes)
-    last_allowed = first_two[1][choice]
-
-    def later_parts_fail(*args, **kwargs):
-        if args[choice] > last_allowed:
-            raise AssertionError("a part after the budget ran out decided the outcome")
-        return original(*args, **kwargs)
-
-    # the forked workers inherit the patch
-    monkeypatch.setattr(module, name, later_parts_fail)
-    with pytest.raises(BudgetExceededError):
-        run(budget)
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_parts_run_on_what_is_left_of_the_budget(jobs):
-    from golomb.config import run_parts
-
-    budgets = []
-
-    def search(budget, part):
-        budgets.append(budget)
-        if part > budget:
-            raise BudgetExceededError(budget, "a part")
-        return 10 * part, part
-
-    # in this process each part gets what the parts before it left; a pool
-    # worker gets the whole budget, and a local function reaches it by fork
-    taken = []
-    assert run_parts(search, [3, 4, 5], 12, jobs, "parts", taken.append) == 12
-    assert taken == [30, 40, 50]
-    if jobs == 1:
-        assert budgets == [12, 9, 5]
-    for budget in (11, 4):
-        with pytest.raises(BudgetExceededError, match=f"budget of {budget} nodes exceeded in parts$"):
-            run_parts(search, [3, 4, 5], budget, jobs, "parts", taken.append)
-
-
-def test_the_pool_has_at_most_one_worker_per_part(monkeypatch):
-    import multiprocessing
-
-    fork = multiprocessing.get_context("fork")
-    sizes = []
-
-    class Recorded:
-        def Pool(self, processes, *args):
-            sizes.append(processes)
-            return fork.Pool(processes, *args)
-
-    # run_parts imports multiprocessing on its pool path and reads this attribute
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Recorded())
-    # g_3 at t = 10 splits into 4 first gaps; the m = 2 census into 2
-    # first placements, then 2 chunks for the simplex
-    assert golomb_counts(3, 10, 10, jobs=6) == golomb_counts(3, 10, 10)
-    assert sizes == [4]
-    assert len(golomb_graph.enumerate_constrained_orientations(2, jobs=6)) == 2
-    assert sizes == [4, 2, 2]
+    assert whole_search(m, t_min, t_max) == per_bit_search(m, t_min, t_max, UNLIMITED)
