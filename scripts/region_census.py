@@ -11,13 +11,14 @@ m = 5 takes about a second; m = 6 takes under a minute.
 import argparse
 import time
 
+from golomb.errors import DEFAULT_NODE_BUDGET
 from golomb.golomb_graph import enumerate_constrained_orientations
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-m", type=int, default=5)
-    parser.add_argument("--budget", type=int, default=None)
+    parser.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     args = parser.parse_args()
 
     counts = []

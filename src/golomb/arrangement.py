@@ -19,8 +19,10 @@ from math import comb, lcm
 from operator import mul
 from typing import Iterator
 
-from golomb.config import resolve_budget
-from golomb.errors import BudgetExceededError
+from golomb.errors import DEFAULT_NODE_BUDGET, BudgetExceededError
+
+# the largest m that the census and the intersection lattice enumerate
+DEFAULT_M_BOUND = 6
 
 Interval = tuple[int, int]
 Normal = tuple[int, ...]
@@ -89,26 +91,23 @@ def _split(columns, value) -> tuple[Vector | None, list[Vector]]:
     return (c if v > 0 else tuple(-a for a in c)), rest
 
 
-def iop_vertices(m: int, *, budget: int | None = None) -> tuple[Point, ...]:
+def iop_vertices(m: int, *, budget: int = DEFAULT_NODE_BUDGET) -> tuple[Point, ...]:
     """Vertices of the subdivision of the simplex by the equal-sum family.
 
     Every point cut out by the affine hull {sum z = 1} together with m-1 of
     the hyperplanes and facets {z_j = 0}, kept when the linear system has a
     unique solution lying in the closed simplex. Deduplicated and sorted;
-    empty for m = 1, and m < 1 is refused.
+    the one point z = (1) for m = 1, and m < 1 is refused.
 
     The subsets are searched depth first in index order, each node carrying
     a basis of the integer points of its rows' kernel, reduced by _split as
     each row joins; a row without a pivot is a dependent prefix and is
     pruned with every extension. At full depth the one column left is the
     primitive direction of the candidate point. The budget caps the number
-    of subsets, C(#constraints, m-1), and is checked before any work; no
-    budget means that of resolve_budget, as for every other search.
+    of subsets, C(#constraints, m-1), and is checked before any work.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m == 1:
-        return ()
     constraints: list[Normal] = list(golomb_hyperplanes(m))
     for j in range(m):
         facet = [0] * m
@@ -116,28 +115,26 @@ def iop_vertices(m: int, *, budget: int | None = None) -> tuple[Point, ...]:
         constraints.append(tuple(facet))
     n, depth = len(constraints), m - 1
     subsets = comb(n, depth)
-    limit = resolve_budget(budget)
-    if subsets > limit:
+    if subsets > budget:
         raise BudgetExceededError(
-            limit, f"iop_vertices(m={m}): C({n}, {depth}) = {subsets} constraint subsets"
+            budget, f"iop_vertices(m={m}): C({n}, {depth}) = {subsets} constraint subsets"
         )
     found: set[Vector] = set()
 
     def extend(basis, start: int, k: int) -> None:
-        for i in range(start, n - depth + k + 1):
-            row = constraints[i]
-            pivot, rest = _split(basis, lambda c: sum(map(mul, row, c)))
-            if pivot is None:
-                continue
-            if k + 1 < depth:
-                extend(rest, i + 1, k + 1)
-                continue
-            (c,) = rest
+        if k == depth:
+            (c,) = basis
             if sum(c) < 0:
                 c = tuple(-x for x in c)
             # other subsets may cut out the same point
             if sum(c) and min(c) >= 0:
                 found.add(c)
+            return
+        for i in range(start, n - depth + k + 1):
+            row = constraints[i]
+            pivot, rest = _split(basis, lambda c: sum(map(mul, row, c)))
+            if pivot is not None:
+                extend(rest, i + 1, k + 1)
 
     extend([tuple(int(i == j) for j in range(m)) for i in range(m)], 0, 0)
     points = []
@@ -152,6 +149,6 @@ def denominator_lcm(points) -> int:
     return lcm(*(c.denominator for point in points for c in point))
 
 
-def period_bound(m: int, *, budget: int | None = None) -> int:
+def period_bound(m: int, *, budget: int = DEFAULT_NODE_BUDGET) -> int:
     """lcm of the coordinate denominators over all subdivision vertices."""
     return denominator_lcm(iop_vertices(m, budget=budget))

@@ -25,8 +25,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from golomb import arrangement, golomb_graph, mixed_graphs
-from golomb.config import BUDGET_ENV_VAR, resolve_budget
-from golomb.errors import BudgetExceededError, LeadingCoefficientError
+from golomb.errors import DEFAULT_NODE_BUDGET, BudgetExceededError, LeadingCoefficientError
 from golomb.fixtures import FIXTURE_GRAPHS, KNOWN_COUNTS_M3
 from golomb.quasipolynomial import golomb_quasipolynomial, reciprocity_check_golomb
 from golomb.ratpoly import format_fraction, poly_eval, poly_str
@@ -306,8 +305,8 @@ COMMANDS = {
 
 def _add_arguments(p: _Parser, command: _Command) -> _Parser:
     """Give p the options every command shares, then the command's own."""
-    p.add_argument("--budget", type=int, default=None,
-                   help=f"search node budget (default {BUDGET_ENV_VAR} or 10^9)")
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+                   help="search node budget (default 10^9)")
     p.add_argument("--jobs", type=int, default=1,
                    help="must be 1: every search runs in this process")
     p.add_argument("--output", default=None, help="write output to this path instead of stdout")
@@ -356,7 +355,8 @@ def _write(args, payload, table) -> None:
 def main(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
-        args.budget = resolve_budget(args.budget)
+        if args.budget < 1:
+            raise ValueError("budget must be positive")
         if args.jobs != 1:
             raise ValueError("jobs must be 1: every search runs in one process")
         code, payload, table = args.func(args)

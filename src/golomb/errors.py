@@ -1,8 +1,12 @@
-"""Exceptions shared across the enumeration and interpolation modules."""
+"""Exceptions shared across the enumeration and interpolation modules, and
+the default node budget of every search."""
+
+# the budget of every search that is given none
+DEFAULT_NODE_BUDGET = 10**9
 
 
 class BudgetExceededError(RuntimeError):
-    """A search used more nodes than its configured budget.
+    """A search used more nodes than its budget.
 
     Signals that the instance is too large for the budget, not that the
     answer would have been wrong.

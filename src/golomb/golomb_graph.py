@@ -38,9 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from golomb.arrangement import Interval, golomb_hyperplanes, hyperplane_blocks
-from golomb.config import DEFAULT_M_BOUND, resolve_budget
-from golomb.errors import BudgetExceededError
+from golomb.arrangement import DEFAULT_M_BOUND, Interval, golomb_hyperplanes, hyperplane_blocks
+from golomb.errors import DEFAULT_NODE_BUDGET, BudgetExceededError
 from golomb.mixed_graphs import MixedGraph
 from golomb.simplex import strict_cone_feasibility
 
@@ -98,7 +97,9 @@ class _Tables:
     hyperplanes: tuple[tuple[int, ...], ...]
     incl_pred: tuple[int, ...]
     pair_info: tuple[tuple[tuple[int, int] | None, ...], ...]
-    class_edges: tuple[tuple[tuple[int, int, int], ...], ...]
+    # the crossing pairs (i, j), i < j, of each coupling class; i before j
+    # is its negative side
+    class_edges: tuple[tuple[tuple[int, int], ...], ...]
     # additive sign implications, keyed by one premise hyperplane:
     # (premise sign, other hyperplane, its sign, forced hyperplane, forced sign)
     sum_rules: tuple[tuple[tuple[int, int, int, int, int], ...], ...]
@@ -122,7 +123,7 @@ def _tables(m: int) -> _Tables:
     sides_index = {blocks: k for k, blocks in enumerate(hyperplane_blocks(m))}
     incl_pred = [0] * n
     pair_info: list[list[tuple[int, int] | None]] = [[None] * n for _ in range(n)]
-    class_edges: list[list[tuple[int, int, int]]] = [[] for _ in hypers]
+    class_edges: list[list[tuple[int, int]]] = [[] for _ in hypers]
     for i in range(n):
         for j in range(i + 1, n):
             (a, b), (c, d) = ivs[i], ivs[j]
@@ -137,7 +138,7 @@ def _tables(m: int) -> _Tables:
                 k = sides_index[(a, min(b, c - 1)), (max(c, b + 1), d)]
                 pair_info[i][j] = (k, -1)
                 pair_info[j][i] = (k, 1)
-                class_edges[k].append((i, j, -1))
+                class_edges[k].append((i, j))
     # Exact additions among signed normals force further signs: whenever
     # s1*h1 + s2*h2 = s3*h3, the sides sign(h1.z) = s1 and sign(h2.z) = s2
     # imply sign(h3.z) = s3. These cut the orders that are pairwise
@@ -188,9 +189,11 @@ def _enumerate_orders(m: int, limit: int) -> list[tuple[int, ...]]:
         """One node: place v after the vertices in `placed` if every
         constraint allows it, and search on.
 
-        Ordering v before each unplaced u demands one sign per coupling
-        class; every applied sign then propagates through the additive rules
-        until a fixed point or a contradiction. The signs applied and the
+        Ordering v before each unplaced u demands one sign of a coupling
+        class; the demands and every sign they imply through the additive
+        rules are applied until a fixed point or a contradiction, a class
+        demanded or implied with both signs. The fixed point does not depend
+        on the order the signs are applied in. The signs applied and the
         predecessor masks they overwrote are undone on the way back."""
         nonlocal nodes
         nodes += 1
@@ -199,28 +202,17 @@ def _enumerate_orders(m: int, limit: int) -> list[tuple[int, ...]]:
         rest = full & ~placed & ~(1 << v)
         if pred[v] & rest:
             return
-        demanded: dict[int, int] = {}
         row = pair_info[v]
+        queue: list[tuple[int, int]] = []
         mask = rest
         while mask:
             low = mask & -mask
             mask ^= low
             info = row[low.bit_length() - 1]
-            if info is None:
-                continue
-            k, pol = info
-            cur = sigma[k]
-            if cur == 0:
-                prev = demanded.get(k)
-                if prev is None:
-                    demanded[k] = pol
-                elif prev != pol:
-                    return
-            elif cur != pol:
-                return
+            if info is not None:
+                queue.append(info)
         trail: list[tuple[int, int]] = []
         applied: list[int] = []
-        queue = list(demanded.items())
         while queue:
             k, s = queue.pop()
             cur = sigma[k]
@@ -230,9 +222,8 @@ def _enumerate_orders(m: int, limit: int) -> list[tuple[int, ...]]:
                 break
             sigma[k] = s
             applied.append(k)
-            for i, j, pol in class_edges[k]:
-                dst = j if pol == s else i
-                src = i if dst == j else j
+            for i, j in class_edges[k]:
+                src, dst = (i, j) if s < 0 else (j, i)
                 trail.append((dst, pred[dst]))
                 pred[dst] |= 1 << src
             for s_need, k2, s2, k3, s3 in sum_rules[k]:
@@ -278,7 +269,7 @@ def _chain_rows(order: tuple[Interval, ...], m: int) -> list[tuple[int, ...]]:
 
 
 def enumerate_constrained_orientations(
-    m: int, *, budget: int | None = None
+    m: int, *, budget: int = DEFAULT_NODE_BUDGET
 ) -> tuple[GolombOrientation, ...]:
     """All admissible total orders of the intervals, in a fixed depth-first
     order, each certified realizable by an exact feasibility check. Their
@@ -290,14 +281,13 @@ def enumerate_constrained_orientations(
     an LP. m above DEFAULT_M_BOUND is refused: the census would be
     astronomically large.
     """
-    limit = resolve_budget(budget)
     if m > DEFAULT_M_BOUND:
         raise ValueError(f"m={m} is above the enumeration bound {DEFAULT_M_BOUND}")
     tables = _tables(m)
     if tables.n == 0:
         return (GolombOrientation(m, ()),)
     # the whole search runs here, before the first LP
-    found = _enumerate_orders(m, limit)
+    found = _enumerate_orders(m, budget)
     orders = (tuple(tables.intervals[v] for v in o) for o in found)
     return tuple(
         GolombOrientation(m, order)

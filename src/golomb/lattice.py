@@ -37,9 +37,8 @@ from dataclasses import dataclass
 from math import comb
 from operator import itemgetter
 
-from golomb.arrangement import Vector, _split, golomb_hyperplanes
-from golomb.config import DEFAULT_M_BOUND, resolve_budget
-from golomb.errors import BudgetExceededError
+from golomb.arrangement import DEFAULT_M_BOUND, Vector, _split, golomb_hyperplanes
+from golomb.errors import DEFAULT_NODE_BUDGET, BudgetExceededError
 from golomb.simplex import strict_cone_feasibility
 
 
@@ -65,7 +64,7 @@ class Lattice:
 _LATTICES: dict[int, Lattice] = {}
 
 
-def orthant_lattice(m: int, *, budget: int | None = None) -> Lattice:
+def orthant_lattice(m: int, *, budget: int = DEFAULT_NODE_BUDGET) -> Lattice:
     """The flats of the equal-sum arrangement in R^m that meet the open
     orthant, with their Möbius values: R^m first, then rank by rank, each
     rank in the order its flats were first reached. The budget caps the
@@ -77,12 +76,11 @@ def orthant_lattice(m: int, *, budget: int | None = None) -> Lattice:
         raise ValueError("m must be >= 1")
     if m > DEFAULT_M_BOUND:
         raise ValueError(f"m={m} is above the enumeration bound {DEFAULT_M_BOUND}")
-    limit = resolve_budget(budget)
     lattice = _LATTICES.get(m)
     if lattice is None:
-        lattice = _LATTICES[m] = _build(m, limit)
-    elif lattice.nodes > limit:
-        raise BudgetExceededError(limit, f"intersection lattice of the m={m} hyperplanes")
+        lattice = _LATTICES[m] = _build(m, budget)
+    elif lattice.nodes > budget:
+        raise BudgetExceededError(budget, f"intersection lattice of the m={m} hyperplanes")
     return lattice
 
 
@@ -238,7 +236,7 @@ def weighted_counts(lattice: Lattice, levels, limit: int) -> dict[int, int]:
     return sums
 
 
-def multiplicity(z, *, budget: int | None = None) -> int:
+def multiplicity(z, *, budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Number of cell closures containing the non-negative gap vector z: the
     sum of |mu(0̂, u)| over the lattice's flats through z (the
     quasipolynomial module says why). A positive z has multiplicity 1

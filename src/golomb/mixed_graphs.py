@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from golomb.config import resolve_budget
-from golomb.errors import BudgetExceededError
+from golomb.errors import DEFAULT_NODE_BUDGET, BudgetExceededError
 from golomb.ratpoly import Poly, lagrange, poly_eval
 
 Orientation = tuple[tuple[int, int], ...]
@@ -104,15 +103,14 @@ def is_acyclic_mixed(g: MixedGraph) -> bool:
     return _arc_reach(g) is not None
 
 
-def count_proper_colorings(g: MixedGraph, t: int, *, budget: int | None = None) -> int:
+def count_proper_colorings(g: MixedGraph, t: int, *, budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Number of maps V -> {1..t} with different colors across every edge and
     strictly increasing colors along every arc. Brute force with early
     pruning; the budget caps t**n."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    limit = resolve_budget(budget)
-    if g.n and t > 1 and t**g.n > limit:
-        raise BudgetExceededError(limit, f"{t}^{g.n} color assignments")
+    if t**g.n > budget:
+        raise BudgetExceededError(budget, f"{t}^{g.n} color assignments")
     if g.n == 0:
         return 1
     if t == 0:
@@ -148,7 +146,7 @@ def count_proper_colorings(g: MixedGraph, t: int, *, budget: int | None = None) 
     return rec(1)
 
 
-def chromatic_polynomial(g: MixedGraph, *, budget: int | None = None) -> Poly:
+def chromatic_polynomial(g: MixedGraph, *, budget: int = DEFAULT_NODE_BUDGET) -> Poly:
     """Coefficients (constant term first) of the proper-coloring count.
 
     When the arcs contain a directed cycle there are no proper colorings at
@@ -159,16 +157,17 @@ def chromatic_polynomial(g: MixedGraph, *, budget: int | None = None) -> Poly:
     """
     if not is_acyclic_mixed(g):
         return (Fraction(0),)
-    limit = resolve_budget(budget)
-    if g.n > 1 and g.n**g.n > limit:
-        raise BudgetExceededError(limit, f"{g.n}^{g.n} color assignments")
+    if g.n**g.n > budget:
+        raise BudgetExceededError(budget, f"{g.n}^{g.n} color assignments")
     points = [(t, count_proper_colorings(g, t, budget=budget)) for t in range(g.n + 1)]
     coeffs = lagrange(points, g.n)
     assert g.n == 0 or coeffs[-1] != 0, "coloring count must have degree n"
     return coeffs
 
 
-def enumerate_acyclic_orientations(g: MixedGraph, *, budget: int | None = None) -> tuple[Orientation, ...]:
+def enumerate_acyclic_orientations(
+    g: MixedGraph, *, budget: int = DEFAULT_NODE_BUDGET
+) -> tuple[Orientation, ...]:
     """Every orientation of the undirected edges (arcs stay fixed) whose
     union digraph is acyclic, in binary-counter order over the sorted edge
     list: bit i of the counter reverses edge i. An orientation is the tuple
@@ -178,10 +177,9 @@ def enumerate_acyclic_orientations(g: MixedGraph, *, budget: int | None = None) 
     in counter order. Each node keeps, per vertex, the bitmask of vertices
     it reaches (_arc_reach), so a choice that closes a directed cycle is
     dropped together with everything below it."""
-    limit = resolve_budget(budget)
     e = len(g.edges)
-    if 2**e > limit:
-        raise BudgetExceededError(limit, f"2^{e} edge orientations")
+    if 2**e > budget:
+        raise BudgetExceededError(budget, f"2^{e} edge orientations")
     reach = _arc_reach(g)
     if reach is None:
         return ()
@@ -206,7 +204,7 @@ def compatible_orientation_count(
     g: MixedGraph,
     coloring,
     *,
-    budget: int | None = None,
+    budget: int = DEFAULT_NODE_BUDGET,
     orientations: tuple[Orientation, ...] | None = None,
 ) -> int:
     """Number of acyclic orientations whose every directed edge u -> v, fixed
@@ -242,7 +240,9 @@ class MixedReciprocityReport:
         return self.lhs == self.rhs
 
 
-def reciprocity_check_mixed(g: MixedGraph, t: int, *, budget: int | None = None) -> MixedReciprocityReport:
+def reciprocity_check_mixed(
+    g: MixedGraph, t: int, *, budget: int = DEFAULT_NODE_BUDGET
+) -> MixedReciprocityReport:
     """Compare (-1)^n chi(-t) against the number of maps V -> {0..t-1}, each
     counted with its number of compatible acyclic orientations.
 
@@ -255,10 +255,9 @@ def reciprocity_check_mixed(g: MixedGraph, t: int, *, budget: int | None = None)
     if t < 0:
         raise ValueError("t must be >= 0")
     orientations = enumerate_acyclic_orientations(g, budget=budget)
-    limit = resolve_budget(budget)
-    if t**g.n * len(orientations) > limit:
+    if t**g.n * len(orientations) > budget:
         raise BudgetExceededError(
-            limit, f"{t}^{g.n} maps times {len(orientations)} acyclic orientations"
+            budget, f"{t}^{g.n} maps times {len(orientations)} acyclic orientations"
         )
     chi = chromatic_polynomial(g, budget=budget)
     lhs = (-1) ** g.n * poly_eval(chi, -t)
@@ -269,7 +268,7 @@ def reciprocity_check_mixed(g: MixedGraph, t: int, *, budget: int | None = None)
     return MixedReciprocityReport(g.n, t, lhs, rhs)
 
 
-def chromatic_number(g: MixedGraph, *, budget: int | None = None) -> int | None:
+def chromatic_number(g: MixedGraph, *, budget: int = DEFAULT_NODE_BUDGET) -> int | None:
     """Least t admitting a proper coloring, or None when the arcs contain a
     directed cycle. Coloring by position in any topological order shows an
     acyclic mixed graph is n-colorable, so the search stops at n."""

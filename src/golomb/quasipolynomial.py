@@ -39,8 +39,8 @@ from math import factorial
 from typing import Iterable, Mapping
 
 from golomb.arrangement import period_bound
-from golomb.config import resolve_budget
 from golomb.errors import (
+    DEFAULT_NODE_BUDGET,
     InconsistentValuesError,
     InsufficientPointsError,
     LeadingCoefficientError,
@@ -124,7 +124,7 @@ def interpolate(values: Mapping[int, int], degree: int, period: int) -> Quasipol
     return Quasipolynomial(period, tuple(constituents))
 
 
-def golomb_quasipolynomial(m: int, *, budget: int | None = None) -> Quasipolynomial:
+def golomb_quasipolynomial(m: int, *, budget: int = DEFAULT_NODE_BUDGET) -> Quasipolynomial:
     """Counting quasipolynomial for Golomb gap vectors with m entries, on
     the period period_bound(m). The budget caps the constraint subsets
     behind the period bound and the nodes of the one ruler search."""
@@ -133,7 +133,7 @@ def golomb_quasipolynomial(m: int, *, budget: int | None = None) -> Quasipolynom
     return _interpolate_counts(m, period_bound(m, budget=budget), budget)
 
 
-def _interpolate_counts(m: int, period: int, budget: int | None) -> Quasipolynomial:
+def _interpolate_counts(m: int, period: int, budget: int) -> Quasipolynomial:
     """Interpolates exhaustive counts at t = 1 .. period*m on degree m-1,
     then verifies that every constituent has leading coefficient 1/(m-1)!.
     The counts come from one ruler search."""
@@ -170,7 +170,7 @@ class GolombReciprocityReport:
 
 
 def reciprocity_check_golomb(
-    m: int, t_values: Iterable[int], *, budget: int | None = None
+    m: int, t_values: Iterable[int], *, budget: int = DEFAULT_NODE_BUDGET
 ) -> GolombReciprocityReport:
     """For each t >= 0 compare (-1)^(m-1) q(-t) with the sum of multiplicities
     over all non-negative gap vectors of total t. At t = 0 that sum is the
@@ -191,10 +191,9 @@ def reciprocity_check_golomb(
     t_values = list(t_values)
     if any(t < 0 for t in t_values):
         raise ValueError("t values must be >= 0")
-    limit = resolve_budget(budget)
     period = period_bound(m, budget=budget)
-    check_node_floor(m, 1, period * m, limit)
-    rhs = weighted_counts(orthant_lattice(m, budget=budget), set(t_values), limit)
+    check_node_floor(m, 1, period * m, budget)
+    rhs = weighted_counts(orthant_lattice(m, budget=budget), set(t_values), budget)
     q = _interpolate_counts(m, period, budget)
     sign = (-1) ** (m - 1)
     rows = tuple(ReciprocityRow(t, sign * q.evaluate(-t), rhs[t]) for t in t_values)

@@ -35,8 +35,7 @@ from __future__ import annotations
 from itertools import count
 from math import comb
 
-from golomb.config import resolve_budget
-from golomb.errors import BudgetExceededError
+from golomb.errors import DEFAULT_NODE_BUDGET, BudgetExceededError
 
 
 def markings(gaps) -> tuple[int, ...]:
@@ -66,7 +65,9 @@ def is_golomb(gaps) -> bool:
     return True
 
 
-def golomb_counts(m: int, t_min: int, t_max: int, *, budget: int | None = None) -> dict[int, int]:
+def golomb_counts(
+    m: int, t_min: int, t_max: int, *, budget: int = DEFAULT_NODE_BUDGET
+) -> dict[int, int]:
     """g_m(t), the number of Golomb gap vectors with m positive entries
     summing to t, for every t_min <= t <= t_max, from one search.
 
@@ -80,7 +81,7 @@ def golomb_counts(m: int, t_min: int, t_max: int, *, budget: int | None = None) 
         raise ValueError("t must be >= 0")
     if t_max < t_min:
         raise ValueError("t_max must be >= t_min")
-    counts = _run_search(m, t_min, t_max, resolve_budget(budget))[0]
+    counts = _run_search(m, t_min, t_max, budget)[0]
     return {t: counts[t] for t in range(t_min, t_max + 1)}
 
 
@@ -222,7 +223,7 @@ def _search(m: int, t_min: int, t_max: int, node_budget: int):
     return planes, nodes
 
 
-def optimal_length(m: int, *, budget: int | None = None) -> int:
+def optimal_length(m: int, *, budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Least t >= 1 admitting a Golomb ruler with m gaps.
 
     The m(m+1)/2 pairwise differences are distinct positive integers <= t,
@@ -233,13 +234,12 @@ def optimal_length(m: int, *, budget: int | None = None) -> int:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    limit = resolve_budget(budget)
     used = 0
     for t in count(m * (m + 1) // 2):
         try:
-            counts, nodes = _run_search(m, t, t, limit - used)
+            counts, nodes = _run_search(m, t, t, budget - used)
         except BudgetExceededError as exc:
-            raise BudgetExceededError(limit, exc.where) from None
+            raise BudgetExceededError(budget, exc.where) from None
         if counts[t]:
             return t
         used += nodes

@@ -55,8 +55,6 @@ def solve_unique(rows, rhs):
 def fraction_vertices(m):
     """Oracle: one Gauss-Jordan solve of [1 ... 1; subset] z = e_1 for every
     subset of m-1 hyperplanes and facets, kept when unique and non-negative."""
-    if m < 2:
-        return ()
     constraints = list(golomb_hyperplanes(m))
     constraints += [tuple(int(i == j) for i in range(m)) for j in range(m)]
     ones = (1,) * m
@@ -140,24 +138,21 @@ def test_vertex_budget_counts_constraint_subsets():
             call(4, budget=968)
 
 
-def test_vertex_budget_defaults_to_the_resolved_budget(monkeypatch):
+def test_vertex_budget_defaults_to_the_node_budget(monkeypatch):
     import golomb.arrangement as arrangement
 
     def no_search(columns, value):
         raise AssertionError("the subset search started although it was over budget")
 
     # m = 7: C(133, 6) = 6 856 577 728 subsets, above the default 10^9
-    monkeypatch.delenv("GOLOMB_BUDGET", raising=False)
     monkeypatch.setattr(arrangement, "_split", no_search)
     for call in (iop_vertices, period_bound):
         with pytest.raises(BudgetExceededError, match=r"C\(133, 6\) = 6856577728"):
             call(7)
     monkeypatch.undo()
-    monkeypatch.setenv("GOLOMB_BUDGET", "968")
     with pytest.raises(BudgetExceededError, match=r"C\(19, 3\) = 969"):
-        iop_vertices(4)
-    monkeypatch.setenv("GOLOMB_BUDGET", "969")
-    assert len(iop_vertices(4)) == 42
+        iop_vertices(4, budget=968)
+    assert len(iop_vertices(4, budget=969)) == 42
 
 
 def test_canonical_normal():
@@ -230,8 +225,10 @@ def test_vertices_m3_match_known_list():
     assert set(iop_vertices(3)) == M3_VERTICES
 
 
-def test_vertices_empty_below_m2():
-    assert iop_vertices(1) == ()
+def test_vertices_of_m1_are_its_one_point():
+    # {z_1 = 1} alone cuts out the one point of the simplex
+    assert iop_vertices(1) == ((F(1),),)
+    assert period_bound(1) == 1
 
 
 def test_vertices_refuse_m_below_one():

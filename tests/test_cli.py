@@ -316,9 +316,8 @@ def test_mixed_chroma(capsys):
     assert payload["polynomial"] == ["0", "1", "-3/2", "1/2"]
 
 
-def test_mixed_chroma_reads_the_count_off_the_polynomial(capsys, monkeypatch):
+def test_mixed_chroma_reads_the_count_off_the_polynomial(capsys):
     # 2000^3 colour maps are over the default budget; chi already holds the count
-    monkeypatch.delenv("GOLOMB_BUDGET", raising=False)
     code, out, _ = run_cli(
         capsys, "mixed", "chroma", "--fixture", "triangle", "--t", "2000", "--format", "json"
     )
@@ -404,9 +403,8 @@ def test_exit_code_budget(capsys):
     assert "budget" in err
 
 
-def test_vertex_budget_fails_before_any_work(capsys, monkeypatch):
+def test_vertex_budget_fails_before_any_work(capsys):
     # m=7 has C(133, 6) = 6 856 577 728 constraint subsets, over the default budget of 10^9
-    monkeypatch.delenv("GOLOMB_BUDGET", raising=False)
     code, out, err = run_cli(capsys, "vertices", "--m", "7")
     assert code == 2 and out == "" and "budget" in err
     code, out, err = run_cli(capsys, "quasipoly", "--m", "4", "--budget", "968")
@@ -420,7 +418,6 @@ def test_ruler_counts_that_cannot_fit_fail_fast(capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("the ruler search ran although it cannot fit the budget")
 
-    monkeypatch.delenv("GOLOMB_BUDGET", raising=False)
     monkeypatch.setattr(rulers, "_search", never)
     for argv in (["quasipoly", "--m", "4"], ["reciprocity", "golomb", "--m", "4", "--t", "0"]):
         code, out, err = run_cli(capsys, *argv)
@@ -437,13 +434,31 @@ def test_csv_rejected_where_not_tabular():
     assert main(["regions", "--m", "2", "--format", "csv"]) == 1
 
 
-def test_budget_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("GOLOMB_BUDGET", "10")
-    code, _, err = run_cli(capsys, "golomb-count", "--m", "4", "--t", "30")
-    assert code == 2
-    monkeypatch.setenv("GOLOMB_BUDGET", "not-a-number")
-    code, _, err = run_cli(capsys, "golomb-count", "--m", "1", "--t", "3")
-    assert code == 1
+def test_budget_ignores_the_environment(capsys, monkeypatch):
+    # g_4(30) under the default budget of 10^9
+    argv = ("golomb-count", "--m", "4", "--t", "30", "--format", "json")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["rows"] == [{"t": 30, "count": 1880}]
+    for value in ("10", "not-a-number"):
+        monkeypatch.setenv("GOLOMB_BUDGET", value)
+        assert run_cli(capsys, *argv) == (0, out, "")
+        assert rulers.golomb_counts(4, 30, 30) == {30: 1880}
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_below_one_is_refused_before_any_work(capsys, monkeypatch, budget):
+    def never(*args, **kwargs):
+        raise AssertionError("the ruler search ran under a budget below one")
+
+    monkeypatch.setattr(rulers, "_search", never)
+    code, out, err = run_cli(capsys, "golomb-count", "--m", "4", "--t", "30", "--budget", budget)
+    assert (code, out) == (1, "") and err == "error: budget must be positive\n"
+
+
+def test_vertices_of_m1(capsys):
+    code, out, _ = run_cli(capsys, "vertices", "--m", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"m": 1, "period_bound": 1, "vertices": [["1"]]}
 
 
 def run_python(*argv):

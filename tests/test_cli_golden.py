@@ -22,10 +22,10 @@ unknown command. Both were taken before `main` began to parse a command
 line with the named command's parser alone; the `quasipoly -h` row was
 taken again when `quasipoly` lost its `--period` option, and differs from
 the old one only by that option's two lines; all six `<command> -h` rows
-were taken again when the help line of `--jobs` changed, and differ from
-the old ones only by that line. argparse words and lays out these texts
-differently from one Python version to the next, so they are pinned for
-CPython 3.11 only.
+were taken again when the help line of `--jobs` changed, and again when
+that of `--budget` did, each time differing from the old ones only by
+that line. argparse words and lays out these texts differently from one
+Python version to the next, so they are pinned for CPython 3.11 only.
 """
 
 import hashlib
@@ -99,12 +99,12 @@ def test_output_file_is_pinned(capsys, tmp_path):
 
 HELP = """
 -h               45a085906196439b549c7c328223a9da7bf56ef0de61c55f40965a14c616da2d
-golomb-count -h  b189b710c011df12cad194cb571a35062b43a25443c896e2151c43109a38539a
-quasipoly -h     5bf41ecfb323d26f9c05da79e5db5be36ef5ab6e00ba8516608bc11f34e8370a
-regions -h       f770b2b7c17c90fcfaa2929cd3a0b0f465da0db501c4c54cafbe59de4253c4dc
-reciprocity -h   6c833fdc2bde7a8eb2e56991cdfe58744316e6ca5b0f025c8d37e4b989cbee9f
-mixed -h         4aa8cb842a95343b226cefeef4f9043f022a39577004a858d9c2a2ff4180da55
-vertices -h      5e5033716ae9758170bd26f52247ad5d9ffdf5d447401738cac84859750becd2
+golomb-count -h  ef2291e9c81b4a0bfc55ed9c15bf730788c6e1067788d2bfded7de863fe5dcda
+quasipoly -h     088a4a4656ea20e0f1af9dda0555f2d8d047f2f285cbe0d145bd5ff18111e5b1
+regions -h       075bff840de048afc9c3bc05150138cab1695af7ac7b304f11d460e20fddba19
+reciprocity -h   f6e59dee088d2ecedaaa74bc5129da42ca758023739f8288d22b97fcb0d30ae8
+mixed -h         0541b05269365bc1dea36624a5a3b65955cfe7c41b4ece1b1c4a36c97150e530
+vertices -h      a4f51a88854bb8cb38bcd7862a39489f22884b67f569ee2cdf158fce85d31748
 """
 HELP_CASES = [line.rsplit(None, 1) for line in HELP.strip().splitlines()]
 USAGE_ERRORS = [

@@ -171,7 +171,7 @@ def test_crossing_pairs_map_to_their_difference_blocks():
                     (only_p[0], only_p[-1]), (only_q[0], only_q[-1])
                 )
                 assert pol == -1 and tables.pair_info[j][i] == (k, 1)
-                assert (i, j, -1) in tables.class_edges[k]
+                assert (i, j) in tables.class_edges[k]
 
 
 def test_golomb_graph_small_cases():

@@ -1,7 +1,14 @@
 import importlib
+import re
 from pathlib import Path
 
+import pytest
+
 import golomb
+from golomb.errors import BudgetExceededError
+from golomb.fixtures import FIXTURE_GRAPHS
+from golomb.lattice import orthant_lattice
+from golomb.mixed_graphs import compatible_orientation_count
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -47,3 +54,38 @@ def test_readme_names_every_public_name():
     # a public name needs a command or a line in the README's overview
     text = README.read_text(encoding="utf-8")
     assert [name for name in golomb.__all__ if f"`{name}`" not in text] == []
+
+
+def test_no_module_reads_the_environment():
+    # every result is a function of the call's own arguments
+    reads = re.compile(r"^\s*(import|from)\s+os\b|\b(environ|getenv)\b", re.MULTILINE)
+    modules = sorted(Path(golomb.__file__).parent.rglob("*.py"))
+    assert modules
+    assert [p.name for p in modules if reads.search(p.read_text(encoding="utf-8"))] == []
+
+
+TRIANGLE = FIXTURE_GRAPHS["triangle"]
+SEARCHES = [
+    (golomb.golomb_counts, (3, 1, 10)),
+    (golomb.optimal_length, (3,)),
+    (golomb.iop_vertices, (3,)),
+    (golomb.period_bound, (3,)),
+    (golomb.golomb_quasipolynomial, (2,)),
+    (golomb.reciprocity_check_golomb, (2, [0])),
+    (golomb.enumerate_constrained_orientations, (3,)),
+    (orthant_lattice, (3,)),
+    (golomb.multiplicity, ((1, 2),)),
+    (golomb.count_proper_colorings, (TRIANGLE, 2)),
+    (golomb.chromatic_polynomial, (TRIANGLE,)),
+    (golomb.enumerate_acyclic_orientations, (TRIANGLE,)),
+    (compatible_orientation_count, (TRIANGLE, (1, 2, 3))),
+    (golomb.reciprocity_check_mixed, (TRIANGLE, 1)),
+    (golomb.chromatic_number, (TRIANGLE,)),
+]
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+@pytest.mark.parametrize("search, args", SEARCHES, ids=[s.__name__ for s, _ in SEARCHES])
+def test_a_budget_below_one_lets_no_node_through(search, args, budget):
+    with pytest.raises(BudgetExceededError):
+        search(*args, budget=budget)
