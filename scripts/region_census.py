@@ -9,9 +9,10 @@ m = 5 takes about a second; m = 6 takes under a minute.
 """
 
 import argparse
+import sys
 import time
 
-from golomb.errors import DEFAULT_NODE_BUDGET
+from golomb.errors import DEFAULT_NODE_BUDGET, BudgetExceededError
 from golomb.golomb_graph import enumerate_constrained_orientations
 
 
@@ -32,4 +33,8 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except BudgetExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)

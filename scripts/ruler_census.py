@@ -3,8 +3,10 @@
 shortest length admitting one, from the exhaustive search."""
 
 import argparse
+import sys
 import time
 
+from golomb.errors import BudgetExceededError
 from golomb.rulers import golomb_counts, optimal_length
 
 
@@ -24,4 +26,8 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except BudgetExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)

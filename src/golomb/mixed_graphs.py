@@ -3,18 +3,21 @@
 A mixed graph has undirected edges, which force different colors on their
 endpoints, and directed arcs, which force strictly increasing colors. The
 module provides brute-force proper-coloring counts, the chromatic
-polynomial by exact interpolation, enumeration of the acyclic orientations
-of the undirected part (arcs stay fixed), orientation/coloring
-compatibility under weak inequalities, and the check that evaluating the
-chromatic polynomial at negative arguments counts colorings weighted by
-their number of compatible acyclic orientations.
+polynomial by exact interpolation on the prefix sums of one coloring
+search, enumeration of the acyclic orientations of the undirected part
+(arcs stay fixed), and the check that evaluating the chromatic polynomial
+at negative arguments counts colorings weighted by their number of
+compatible acyclic orientations (weakly increasing along every directed
+edge); that weighted count is a subset DP over the weak color levels,
+which lists no orientation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate
+from math import comb
 
 from golomb.errors import DEFAULT_NODE_BUDGET, BudgetExceededError
 from golomb.ratpoly import Poly, lagrange, poly_eval
@@ -107,14 +110,24 @@ def count_proper_colorings(g: MixedGraph, t: int, *, budget: int = DEFAULT_NODE_
     """Number of maps V -> {1..t} with different colors across every edge and
     strictly increasing colors along every arc. Brute force with early
     pruning; the budget caps t**n."""
+    return sum(_top_color_counts(g, t, budget))
+
+
+def _top_color_counts(g: MixedGraph, t: int, budget: int) -> list[int]:
+    """Entry s is the number of proper colorings V -> {1..t} whose largest
+    color is s, for s = 0..t; a proper coloring into {1..s} is one of these
+    whose largest color is at most s, so the prefix sums are the counts at
+    every t' <= t. Vertices take colors in index order, and a color that
+    breaks an edge or an arc to an already colored vertex is never tried
+    further. The budget caps t**n."""
     if t < 0:
         raise ValueError("t must be >= 0")
     if t**g.n > budget:
         raise BudgetExceededError(budget, f"{t}^{g.n} color assignments")
+    counts = [0] * (t + 1)
     if g.n == 0:
-        return 1
-    if t == 0:
-        return 0
+        counts[0] = 1
+        return counts
     must_differ: list[list[int]] = [[] for _ in range(g.n + 1)]
     must_exceed: list[list[int]] = [[] for _ in range(g.n + 1)]  # c[w] > c[x]
     must_precede: list[list[int]] = [[] for _ in range(g.n + 1)]  # c[w] < c[x]
@@ -127,10 +140,7 @@ def count_proper_colorings(g: MixedGraph, t: int, *, budget: int = DEFAULT_NODE_
             must_precede[u].append(v)
     colors = [0] * (g.n + 1)
 
-    def rec(v: int) -> int:
-        if v > g.n:
-            return 1
-        total = 0
+    def rec(v: int, top: int) -> None:
         for c in range(1, t + 1):
             if any(colors[u] == c for u in must_differ[v]):
                 continue
@@ -138,12 +148,15 @@ def count_proper_colorings(g: MixedGraph, t: int, *, budget: int = DEFAULT_NODE_
                 continue
             if any(colors[x] <= c for x in must_precede[v]):
                 continue
-            colors[v] = c
-            total += rec(v + 1)
+            if v == g.n:
+                counts[max(top, c)] += 1
+            else:
+                colors[v] = c
+                rec(v + 1, max(top, c))
         colors[v] = 0
-        return total
 
-    return rec(1)
+    rec(1, 0)
+    return counts
 
 
 def chromatic_polynomial(g: MixedGraph, *, budget: int = DEFAULT_NODE_BUDGET) -> Poly:
@@ -152,14 +165,15 @@ def chromatic_polynomial(g: MixedGraph, *, budget: int = DEFAULT_NODE_BUDGET) ->
     When the arcs contain a directed cycle there are no proper colorings at
     any t and the zero polynomial (0,) is returned; otherwise the count is a
     polynomial of degree exactly n, recovered by interpolation at t = 0..n.
-    The budget caps n**n, the largest sample's assignments, checked before
-    the first sample.
+    All n+1 samples come from one coloring search at t = n, as the prefix
+    sums of its counts by largest color. The budget caps n**n, that
+    search's assignments, checked before it starts.
     """
     if not is_acyclic_mixed(g):
         return (Fraction(0),)
     if g.n**g.n > budget:
         raise BudgetExceededError(budget, f"{g.n}^{g.n} color assignments")
-    points = [(t, count_proper_colorings(g, t, budget=budget)) for t in range(g.n + 1)]
+    points = list(enumerate(accumulate(_top_color_counts(g, g.n, budget))))
     coeffs = lagrange(points, g.n)
     assert g.n == 0 or coeffs[-1] != 0, "coloring count must have degree n"
     return coeffs
@@ -200,34 +214,6 @@ def enumerate_acyclic_orientations(
     return tuple(out)
 
 
-def compatible_orientation_count(
-    g: MixedGraph,
-    coloring,
-    *,
-    budget: int = DEFAULT_NODE_BUDGET,
-    orientations: tuple[Orientation, ...] | None = None,
-) -> int:
-    """Number of acyclic orientations whose every directed edge u -> v, fixed
-    arcs included, satisfies coloring[u] <= coloring[v].
-
-    The coloring is a sequence indexed by vertex - 1 and need not be proper.
-    """
-    c = tuple(coloring)
-    if len(c) != g.n:
-        raise ValueError(f"coloring must assign all {g.n} vertices")
-    if any(x < 0 for x in c):
-        raise ValueError("colors must be non-negative")
-    if not all(c[u - 1] <= c[v - 1] for u, v in g.arcs):
-        return 0
-    if orientations is None:
-        orientations = enumerate_acyclic_orientations(g, budget=budget)
-    return sum(
-        1
-        for o in orientations
-        if all(c[u - 1] <= c[v - 1] for u, v in o)
-    )
-
-
 @dataclass(frozen=True)
 class MixedReciprocityReport:
     n: int
@@ -247,25 +233,83 @@ def reciprocity_check_mixed(
     counted with its number of compatible acyclic orientations.
 
     The color values 0..t-1 are the t-coloring convention of the identity;
-    shifting all colors leaves compatibility unchanged. Maps that already
-    violate an arc weakly have no compatible orientation and are summed with
-    multiplicity 0 rather than excluded. The budget caps t**n times the
-    number of acyclic orientations, checked before chi is computed.
+    shifting all colors leaves compatibility unchanged. The right-hand side
+    is sum_k b_k C(t, k) from _level_counts, so no map and no orientation
+    is listed. The budget caps 3**n, the (subset, subset) pairs of its two
+    subset DPs, checked before chi is computed.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    orientations = enumerate_acyclic_orientations(g, budget=budget)
-    if t**g.n * len(orientations) > budget:
-        raise BudgetExceededError(
-            budget, f"{t}^{g.n} maps times {len(orientations)} acyclic orientations"
-        )
+    if 3**g.n > budget:
+        raise BudgetExceededError(budget, f"3^{g.n} subset pairs of the mixed reciprocity sum")
     chi = chromatic_polynomial(g, budget=budget)
     lhs = (-1) ** g.n * poly_eval(chi, -t)
-    rhs = sum(
-        compatible_orientation_count(g, c, orientations=orientations)
-        for c in product(range(t), repeat=g.n)
-    )
+    rhs = sum(b * comb(t, k) for k, b in enumerate(_level_counts(g)))
     return MixedReciprocityReport(g.n, t, lhs, rhs)
+
+
+def _level_counts(g: MixedGraph) -> list[int]:
+    """Entry k is b_k, the weighted count of the maps that use exactly k
+    given color values; a map V -> {0..t-1} uses k of them in C(t, k) ways.
+
+    Such a map is an ordered partition of V into k nonempty levels, one per
+    value in increasing order. An orientation is compatible with it exactly
+    when no arc enters an earlier level, every edge between two levels
+    points to the later one, and each level's own edges are oriented
+    acyclically with its arcs fixed: a directed cycle cannot leave a level,
+    since no arc or edge returns to an earlier one. So the weight is the
+    product of ao[L] over the levels L, and b_k sums it over the ordered
+    partitions with no arc entering an earlier level.
+
+    ao[S], the acyclic orientations of the edges inside S with the arcs
+    inside S fixed, is by inclusion-exclusion over the nonempty sets I of
+    sources: ao[S] = sum (-1)^(|I|+1) ao[S - I] over the I in S that are
+    independent (no edge or arc inside I) and that no arc from S - I
+    enters; the edges from I to S - I then point away from I. A directed
+    cycle of arcs never loses a vertex, so ao is 0 on every set holding one.
+    Both sums run over the (subset, subset) pairs of V, 3**n in all.
+    """
+    n = g.n
+    full = (1 << n) - 1
+    adjacent = [0] * n  # vertices joined to v by an edge or an arc
+    heads = [0] * n     # heads of the arcs leaving v
+    tails = [0] * n     # tails of the arcs entering v
+    for u, v in g.edges + g.arcs:
+        adjacent[u - 1] |= 1 << (v - 1)
+        adjacent[v - 1] |= 1 << (u - 1)
+    for u, v in g.arcs:
+        heads[u - 1] |= 1 << (v - 1)
+        tails[v - 1] |= 1 << (u - 1)
+    # the same masks for every subset, each from the subset without its lowest vertex
+    near, out, into, sign = [0] * (full + 1), [0] * (full + 1), [0] * (full + 1), [-1] * (full + 1)
+    for s in range(1, full + 1):
+        low = s & -s
+        v = low.bit_length() - 1
+        rest = s ^ low
+        near[s] = near[rest] | adjacent[v]
+        out[s] = out[rest] | heads[v]
+        into[s] = into[rest] | tails[v]
+        sign[s] = -sign[rest]
+    ao = [1] + [0] * full
+    levels: list[list[int]] = [[1]] + [[] for _ in range(full)]  # levels[s][k]: b_k of s
+    for s in range(1, full + 1):
+        total = 0
+        sub = s
+        while sub:
+            if not near[sub] & sub and not into[sub] & s:
+                total += sign[sub] * ao[s ^ sub]
+            sub = (sub - 1) & s
+        ao[s] = total
+        by_k = [0] * (s.bit_count() + 1)
+        sub = s
+        while sub:
+            # sub is the last level of s: no arc may leave it for an earlier one
+            if ao[sub] and not out[sub] & (s ^ sub):
+                for k, b in enumerate(levels[s ^ sub], 1):
+                    by_k[k] += ao[sub] * b
+            sub = (sub - 1) & s
+        levels[s] = by_k
+    return levels[full]
 
 
 def chromatic_number(g: MixedGraph, *, budget: int = DEFAULT_NODE_BUDGET) -> int | None:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Mapping
 
 from golomb.arrangement import period_bound
@@ -127,10 +127,24 @@ def interpolate(values: Mapping[int, int], degree: int, period: int) -> Quasipol
 def golomb_quasipolynomial(m: int, *, budget: int = DEFAULT_NODE_BUDGET) -> Quasipolynomial:
     """Counting quasipolynomial for Golomb gap vectors with m entries, on
     the period period_bound(m). The budget caps the constraint subsets
-    behind the period bound and the nodes of the one ruler search."""
+    behind the period bound and the nodes of the one ruler search; the
+    search's node floor at the least period the bound can be is checked
+    before either (_check_least_period_floor)."""
     if m < 1:
         raise ValueError("m must be >= 1")
+    _check_least_period_floor(m, budget)
     return _interpolate_counts(m, period_bound(m, budget=budget), budget)
+
+
+def _check_least_period_floor(m: int, budget: int) -> None:
+    """Refuse, before any vertex is enumerated, a ruler search that no
+    period bound can make fit. For each k <= m the point (1/k, ..., 1/k, 0,
+    ..., 0) with k nonzero entries is a subdivision vertex, cut out by the
+    hyperplanes z_i = z_(i+1) for i < k and the facets z_j = 0 for j > k,
+    so lcm(1..m) divides period_bound(m), and the samples reach at least
+    t = m * lcm(1..m). The floor there exceeds 10^9 nodes for m = 5 and 6,
+    and is at most 510 for m <= 4."""
+    check_node_floor(m, 1, m * lcm(*range(1, m + 1)), budget)
 
 
 def _interpolate_counts(m: int, period: int, budget: int) -> Quasipolynomial:
@@ -185,12 +199,13 @@ def reciprocity_check_golomb(
     bound, the ruler search, the joins of the lattice build and the sum
     (one node per flat and distinct level, plus one per value a flat's walk
     visits; see lattice.weighted_counts). The cheap refusals come first:
-    the period bound's subset count, then the ruler search's node floor
-    for the sample range; then the lattice and the sum, and only then the
+    the ruler search's node floor at the least possible period, the period
+    bound's subset count, then the node floor for the sample range; then the lattice and the sum, and only then the
     ruler search and the interpolation of the quasipolynomial."""
     t_values = list(t_values)
     if any(t < 0 for t in t_values):
         raise ValueError("t values must be >= 0")
+    _check_least_period_floor(m, budget)
     period = period_bound(m, budget=budget)
     check_node_floor(m, 1, period * m, budget)
     rhs = weighted_counts(orthant_lattice(m, budget=budget), set(t_values), budget)

@@ -18,7 +18,6 @@ from golomb.lattice import multiplicity
 from golomb.mixed_graphs import (
     MixedGraph,
     chromatic_polynomial,
-    compatible_orientation_count,
     reciprocity_check_mixed,
 )
 from golomb.quasipolynomial import golomb_quasipolynomial, reciprocity_check_golomb
@@ -32,6 +31,7 @@ from test_mixed_graphs import (
     chromatic_poly_deletion_contraction,
     random_mixed_graph,
 )
+from weighted_maps import compatible_orientation_count
 
 
 # Admissible orientation counts (cells of the subdivided simplex) for m = 1..6.

@@ -283,6 +283,17 @@ def test_period_bound_is_denominator_lcm():
         assert period_bound(m) == lcm(*denominators)
 
 
+def test_least_period_divides_the_period_bound():
+    # (1/k, ..., 1/k, 0, ..., 0) lies on z_i = z_(i+1) for i < k and on the
+    # facets z_j = 0 for j > k, so each k <= m gives a vertex with
+    # denominator k; the quasipolynomial's early refusal rests on this
+    for m in range(1, 6):
+        points = set(iop_vertices(m))
+        for k in range(1, m + 1):
+            assert (F(1, k),) * k + (F(0),) * (m - k) in points
+        assert period_bound(m) % lcm(*range(1, m + 1)) == 0
+
+
 def test_vertex_exports(capsys):
     assert main(["vertices", "--m", "3", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

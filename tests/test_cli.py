@@ -11,6 +11,9 @@ import golomb.rulers as rulers
 from golomb.cli import main
 from golomb.fixtures import KNOWN_COUNTS_M3
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# eight vertices, twelve edges and five arcs, arcs in both index directions
+GRAPH8 = os.path.join(REPO, "tests", "mixed_graph_8.json")
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -124,12 +127,28 @@ def test_reciprocity_mixed_fixture(capsys):
     assert payload["lhs"] == "30" and payload["rhs"] == 30 and payload["ok"] is True
 
 
-def test_reciprocity_mixed_over_budget_fails_fast(capsys):
+def test_reciprocity_mixed_over_budget_fails_fast(capsys, monkeypatch):
+    # the triangle's reciprocity sum visits 3^3 subset pairs, whatever t is
+    def never(*args, **kwargs):
+        raise AssertionError("the sum was computed although it cannot fit the budget")
+
+    monkeypatch.setattr(mixed_graphs, "_top_color_counts", never)
+    monkeypatch.setattr(mixed_graphs, "_level_counts", never)
     code, out, err = run_cli(
-        capsys, "reciprocity", "mixed", "--fixture", "triangle", "--t", "150", "--budget", "1000"
+        capsys, "reciprocity", "mixed", "--fixture", "triangle", "--t", "150", "--budget", "26"
     )
     assert code == 2
-    assert out == "" and "budget" in err
+    assert out == "" and "3^3 subset pairs of the mixed reciprocity sum" in err
+
+
+def test_reciprocity_mixed_at_a_large_t(capsys):
+    # 50^8 maps would be over the default budget; the sum visits 3^8 subset pairs
+    code, out, _ = run_cli(
+        capsys, "reciprocity", "mixed", "--input", GRAPH8, "--t", "50", "--format", "json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ok"] is True and payload["lhs"] == str(payload["rhs"])
 
 
 @pytest.mark.parametrize(
@@ -329,7 +348,7 @@ def test_mixed_chroma_refuses_a_negative_t_before_counting(capsys, monkeypatch):
     def never_colored(*args, **kwargs):
         raise AssertionError("colorings were counted for a t the command refuses")
 
-    monkeypatch.setattr(mixed_graphs, "count_proper_colorings", never_colored)
+    monkeypatch.setattr(mixed_graphs, "_top_color_counts", never_colored)
     for fmt in ("text", "json"):
         code, out, err = run_cli(
             capsys, "mixed", "chroma", "--fixture", "triangle", "--t", "-1", "--format", fmt
@@ -424,6 +443,26 @@ def test_ruler_counts_that_cannot_fit_fail_fast(capsys, monkeypatch):
         assert code == 2 and out == "" and "at least 2603243205420 nodes" in err
 
 
+@pytest.mark.parametrize(
+    "argv, floor",
+    [
+        (("quasipoly", "--m", "6"), "at least 2939605672 nodes for t = 1..360"),
+        (("reciprocity", "golomb", "--m", "5", "--t", "0"), "at least 4131878516 nodes for t = 1..300"),
+    ],
+    ids=["quasipoly", "reciprocity"],
+)
+def test_m5_and_m6_fail_before_the_vertex_search(capsys, monkeypatch, argv, floor):
+    # lcm(1..m) divides the period bound, so the samples reach m * lcm(1..m)
+    from golomb import arrangement
+
+    def never(*args, **kwargs):
+        raise AssertionError("the vertices were enumerated for a request the floor refuses")
+
+    monkeypatch.setattr(arrangement, "iop_vertices", never)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and floor in err
+
+
 def test_exit_code_input_error_on_bad_graph_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 2, "edges": [[1, 1]], "arcs": []}))
@@ -464,8 +503,7 @@ def test_vertices_of_m1(capsys):
 def run_python(*argv):
     """A fresh interpreter with this checkout's src first on its path."""
     env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = os.path.join(REPO, "src") + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
 
 
@@ -479,3 +517,10 @@ def test_importing_the_cli_leaves_multiprocessing_unloaded():
     # no search starts a process
     proc = run_python("-c", "import sys, golomb.cli; print('multiprocessing' in sys.modules)")
     assert proc.returncode == 0 and proc.stdout == "False\n"
+
+
+def test_region_script_ends_a_budget_failure_like_the_cli():
+    proc = run_python(os.path.join(REPO, "scripts", "region_census.py"), "--max-m", "3", "--budget", "5")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: search budget of 5 nodes exceeded")
+    assert "Traceback" not in proc.stderr

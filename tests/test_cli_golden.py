@@ -11,9 +11,12 @@ to lines; the three `golomb-count` rows at the benchmark's sizes before the
 ruler search passed its forbidden-mark mask down and counted last marks
 with bit-sliced counters; the last two reciprocity rows before the
 multiplicity sum moved from the orientation census to the intersection
-lattice). The two `--jobs 2` rows pin a refusal, empty stdout and exit
-code 1, since every search runs in one process; any change to a single
-byte of any format fails here.
+lattice; the eight `GRAPH8` rows, on the 8-vertex mixed graph committed
+beside this file, before the chromatic polynomial was read off one
+coloring search and the mixed reciprocity sum moved to a subset DP). The
+two `--jobs 2` rows pin a refusal, empty stdout and exit code 1, since
+every search runs in one process; any change to a single byte of any
+format fails here.
 
 `HELP` pins the stdout of `golomb -h` and of `golomb <command> -h` for all
 six commands at COLUMNS=80, and `USAGE_ERRORS` the stderr of four usage
@@ -30,6 +33,7 @@ Python version to the next, so they are pinned for CPython 3.11 only.
 
 import hashlib
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -76,8 +80,18 @@ golomb-count --m 4 --t-min 1 --t-max 60 --jobs 2 --format json  e3b0c44298fc1c14
 regions --m 5 --list --jobs 2 --format json  e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 1
 reciprocity golomb --m 3 --t-min 0 --t-max 40 --format text  2eb3d1f27366caeab06075f015f795c55002f00b7b5e7b13ca95b441981ed980 0
 reciprocity golomb --m 1 --t-min 0 --t-max 5 --format json  2e5d282a9d0a1366df1e98cf6575e5d09b128b3f14665f8ba64b89581bf6d4b9 0
+mixed chroma --t 3 --input GRAPH8 --format text  584fdede910b2fa1d6496de082cd8c06f778c5decbe132c1fe8c5924497356f2 0
+mixed chroma --t 3 --input GRAPH8 --format json  5001992206eb863c64629864d35f27a2c0c0c7f414b6ce874647fc4c422310c1 0
+mixed orientations --input GRAPH8 --format text  f34b267e36c018b1ef4d1a10861421ab7eb8cb0b13b6b0c11f120900d029346e 0
+mixed orientations --input GRAPH8 --format json  dc709217b34697996325ce392c16552557208c9321d754dd265aabacd1aa6102 0
+mixed chromatic-number --input GRAPH8 --format text  3a162eaa95bc549cca243a352fad7df2b422e2024589b5f1a0ee6c60374dcc12 0
+mixed chromatic-number --input GRAPH8 --format json  a101b9a040126249fce68b3ecbc565007877d960992ec8f0e5a1a2883ee6bd62 0
+reciprocity mixed --t 2 --input GRAPH8 --format text  75fc2671ee3ce84d1a3597588e5f37c42a60f6b5933f0f286ce5b75100f235a8 0
+reciprocity mixed --t 2 --input GRAPH8 --format json  a8d7f5cf378f37cd1a5968fea52d5b45cc2b35c7b0093ff625d940ff2ce8fd2a 0
 """
 CASES = [line.rsplit(None, 2) for line in GOLDEN.strip().splitlines()]
+# the mixed graph of the GRAPH8 rows, in the shape of the benchmark's mixed workload
+GRAPH8 = str(Path(__file__).resolve().parent / "mixed_graph_8.json")
 
 
 def digest(text: str) -> str:
@@ -86,7 +100,7 @@ def digest(text: str) -> str:
 
 @pytest.mark.parametrize("command, sha256, code", CASES, ids=[case[0] for case in CASES])
 def test_stdout_is_pinned(capsys, command, sha256, code):
-    assert main(command.split()) == int(code)
+    assert main(command.replace("GRAPH8", GRAPH8).split()) == int(code)
     assert digest(capsys.readouterr().out) == sha256
 
 

@@ -12,14 +12,15 @@ from golomb.mixed_graphs import (
     MixedGraph,
     chromatic_number,
     chromatic_polynomial,
-    compatible_orientation_count,
     count_proper_colorings,
     enumerate_acyclic_orientations,
     from_json_dict,
     is_acyclic_mixed,
     reciprocity_check_mixed,
 )
-from golomb.ratpoly import poly_eval
+from golomb.ratpoly import lagrange, poly_eval
+
+from weighted_maps import compatible_orientation_count, weighted_map_count
 
 TABLE_T2 = {
     (0, 0, 0): 3, (0, 0, 1): 1, (0, 1, 0): 2,
@@ -46,6 +47,16 @@ def random_mixed_graph(rng, n):
         elif kind == "reverse_arc":
             arcs.append((v, u))
     return MixedGraph(n, tuple(edges), tuple(arcs))
+
+
+def small_mixed_graphs():
+    """Random mixed graphs with n <= 6, arcs in either direction (so some
+    hold a directed cycle), plus the empty graph, edgeless graphs and a
+    directed triangle."""
+    rng = random.Random(31)
+    graphs = [MixedGraph(0), MixedGraph(1), MixedGraph(4), MixedGraph(3, (), ((1, 2), (2, 3), (3, 1)))]
+    graphs += [random_mixed_graph(rng, rng.randint(0, 6)) for _ in range(60)]
+    return graphs
 
 
 def chromatic_poly_deletion_contraction(n, edges):
@@ -270,11 +281,13 @@ def test_reciprocity_triangle():
 
 
 def test_reciprocity_random_graphs():
-    rng = random.Random(17)
-    for _ in range(40):
-        g = random_mixed_graph(rng, rng.randint(1, 4))
-        for t in (0, 1, 2, 3):
-            assert reciprocity_check_mixed(g, t).ok
+    # the right-hand side is also the brute-force sum over all t^n maps
+    graphs = small_mixed_graphs()
+    assert any(not is_acyclic_mixed(g) for g in graphs)
+    for g in graphs:
+        for t in range(5):
+            report = reciprocity_check_mixed(g, t)
+            assert report.ok and report.rhs == weighted_map_count(g, t)
 
 
 def test_negative_one_counts_acyclic_orientations():
@@ -339,12 +352,13 @@ def test_edgeless_reciprocity_closed_form(t, seed):
 
 
 def test_reciprocity_budget_is_checked_before_the_sum():
-    k = len(enumerate_acyclic_orientations(TRIANGLE))
-    assert reciprocity_check_mixed(TRIANGLE, 3, budget=3**3 * k).ok
-    with pytest.raises(BudgetExceededError):
-        reciprocity_check_mixed(TRIANGLE, 3, budget=3**3 * k - 1)
-    with pytest.raises(BudgetExceededError):
-        reciprocity_check_mixed(TRIANGLE, 150, budget=1000)
+    # the triangle's subset DPs visit 3^3 (subset, subset) pairs, and its
+    # chi search 3^3 assignments; t no longer enters the budget
+    assert reciprocity_check_mixed(TRIANGLE, 3, budget=3**3).ok
+    with pytest.raises(BudgetExceededError, match=r"3\^3 subset pairs of the mixed reciprocity sum$"):
+        reciprocity_check_mixed(TRIANGLE, 3, budget=3**3 - 1)
+    report = reciprocity_check_mixed(TRIANGLE, 150, budget=1000)
+    assert report.ok and report.rhs == 150 * 151 * 152 // 2
 
 
 def never_colored(*args, **kwargs):
@@ -352,17 +366,18 @@ def never_colored(*args, **kwargs):
 
 
 def test_reciprocity_refuses_before_computing_chi(monkeypatch):
-    # 100^8 maps times the 2 orientations of the one edge exceed 10^9;
-    # chi alone would count colorings for t = 0..8 first
-    monkeypatch.setattr(mixed_graphs, "count_proper_colorings", never_colored)
-    refusal = r"^search budget of 1000000000 nodes exceeded in 100\^8 maps times 2 acyclic orientations$"
+    # 3^8 = 6561 subset pairs exceed the budget; chi would search 8^8
+    # assignments first and refuse with its own message
+    monkeypatch.setattr(mixed_graphs, "_top_color_counts", never_colored)
+    monkeypatch.setattr(mixed_graphs, "_level_counts", never_colored)
+    refusal = r"^search budget of 6560 nodes exceeded in 3\^8 subset pairs of the mixed reciprocity sum$"
     with pytest.raises(BudgetExceededError, match=refusal):
-        reciprocity_check_mixed(MixedGraph(8, edges=((1, 2),)), 100, budget=10**9)
+        reciprocity_check_mixed(MixedGraph(8, edges=((1, 2),)), 100, budget=6560)
 
 
 def test_chromatic_polynomial_refuses_before_the_first_sample(monkeypatch):
-    # the t = 8 sample of an 8-vertex graph has 8^8 assignments; 8^8 > 10^6
-    monkeypatch.setattr(mixed_graphs, "count_proper_colorings", never_colored)
+    # the one search at t = 8 of an 8-vertex graph has 8^8 assignments; 8^8 > 10^6
+    monkeypatch.setattr(mixed_graphs, "_top_color_counts", never_colored)
     with pytest.raises(BudgetExceededError, match=r"exceeded in 8\^8 color assignments$"):
         chromatic_polynomial(MixedGraph(8), budget=10**6)
 
@@ -374,3 +389,47 @@ def test_chromatic_polynomial_budget_is_the_largest_sample():
         chromatic_polynomial(MixedGraph(4), budget=4**4 - 1)
     # a directed cycle is answered before the budget is read
     assert chromatic_polynomial(MixedGraph(3, arcs=((1, 2), (2, 3), (3, 1))), budget=1) == (0,)
+
+
+def test_chi_is_the_interpolation_of_separate_counts():
+    for g in small_mixed_graphs():
+        separate = [(t, count_proper_colorings(g, t)) for t in range(g.n + 1)]
+        if is_acyclic_mixed(g):
+            assert chromatic_polynomial(g) == lagrange(separate, g.n)
+        else:
+            assert chromatic_polynomial(g) == (0,)
+            assert all(count == 0 for _, count in separate)
+
+
+def test_top_color_counts_sum_to_every_smaller_t():
+    assert mixed_graphs._top_color_counts(TRIANGLE, 4, 10**9) == [0, 0, 0, 3, 9]
+    rng = random.Random(37)
+    for _ in range(20):
+        g = random_mixed_graph(rng, rng.randint(0, 5))
+        top = mixed_graphs._top_color_counts(g, 5, 10**9)
+        for t in range(6):
+            assert sum(top[: t + 1]) == count_proper_colorings(g, t)
+
+
+def test_chromatic_polynomial_runs_one_coloring_search(monkeypatch):
+    calls = []
+    search = mixed_graphs._top_color_counts
+
+    def counted(g, t, budget):
+        calls.append(t)
+        return search(g, t, budget)
+
+    monkeypatch.setattr(mixed_graphs, "_top_color_counts", counted)
+    g = MixedGraph(5, ((1, 2), (2, 3), (4, 5)), ((3, 1), (2, 4)))
+    chi = chromatic_polynomial(g)
+    assert calls == [5]
+    assert [poly_eval(chi, t) for t in range(7)] == [count_proper_colorings(g, t) for t in range(7)]
+
+
+def test_reciprocity_lists_no_orientation(monkeypatch):
+    def never_listed(*args, **kwargs):
+        raise AssertionError("acyclic orientations were listed")
+
+    monkeypatch.setattr(mixed_graphs, "enumerate_acyclic_orientations", never_listed)
+    for t, expected in ((1, 3), (2, 12), (3, 30)):
+        assert reciprocity_check_mixed(TRIANGLE, t).rhs == expected

@@ -270,9 +270,11 @@ def test_requests_out_of_reach_are_refused_before_the_lattice(monkeypatch, capsy
         raise AssertionError("the lattice was built for a request the budget refuses")
 
     monkeypatch.setattr(quasipolynomial, "orthant_lattice", no_lattice)
-    # m = 7: the period bound would try C(133, 6) constraint subsets
+    # m = 7: the period bound is a multiple of lcm(1..7) = 420, so the ruler
+    # search reaches t = 2940 at least, over budget before the period bound
+    # tries its C(133, 6) constraint subsets
     assert main(["reciprocity", "golomb", "--m", "7", "--t", "0"]) == 2
-    assert "iop_vertices(m=7)" in capsys.readouterr().err
+    assert "(at least 130909739324685929946 nodes for t = 1..2940)" in capsys.readouterr().err
     # m = 4: the ruler search over t = 1..3360 needs at least 2.6e12 nodes,
     # whatever levels the sum would cover
     argv = ["reciprocity", "golomb", "--m", "4", "--t-min", "0", "--t-max", "100000"]
