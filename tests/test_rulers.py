@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
@@ -287,21 +288,30 @@ UNLIMITED = 10**12
 
 
 def whole_search(m, t_min, t_max):
-    """`rulers._search` with its bit-sliced counters read bit by bit into
-    counts by length (each kept ruler standing for two when m >= 2), the
-    form `per_bit_search` returns."""
-    planes, nodes = _search(m, t_min, t_max, UNLIMITED)
-    weight = 2 if m >= 2 else 1
-    counts = [
-        weight * sum((plane >> y & 1) << i for i, plane in enumerate(planes))
-        for y in range(t_max + 1)
-    ]
+    """`rulers._search` with its counts doubled when m >= 2 (each kept
+    ruler stands for itself and its reversal), the form `per_bit_search`
+    returns."""
+    counts, nodes = _search(m, t_min, t_max, UNLIMITED)
+    if m >= 2:
+        counts = [2 * c for c in counts]
     return counts, nodes
 
 
+# the benchmark's sizes: g_3 to t = 150, g_4 to 60, g_5 to 45
+ORACLE_RANGES = [(1, 150), (2, 150), (3, 150), (4, 60), (5, 45), (6, 34)]
+
+
 def test_search_matches_the_per_bit_oracle():
-    # the benchmark's sizes: g_3 to t = 150, g_4 to 60, g_5 to 45
-    for m, t_max in [(1, 150), (2, 150), (3, 150), (4, 60), (5, 45), (6, 34)]:
+    for m, t_max in ORACLE_RANGES:
+        for t_min in (0, 1, t_max // 2, t_max):
+            assert whole_search(m, t_min, t_max) == per_bit_search(m, t_min, t_max, UNLIMITED)
+
+
+@pytest.mark.parametrize("dense", [1, 10**9])
+def test_either_last_mark_count_matches_the_per_bit_oracle(monkeypatch, dense):
+    # every node that places mark m-1 counts by product (1) or by walk (10^9)
+    monkeypatch.setattr(rulers, "_DENSE", dense)
+    for m, t_max in ORACLE_RANGES:
         for t_min in (0, 1, t_max // 2, t_max):
             assert whole_search(m, t_min, t_max) == per_bit_search(m, t_min, t_max, UNLIMITED)
 
@@ -318,3 +328,57 @@ def test_single_length_search_matches_the_per_bit_oracle():
 def test_search_matches_the_per_bit_oracle_random(m, a, b):
     t_min, t_max = min(a, b), max(a, b)
     assert whole_search(m, t_min, t_max) == per_bit_search(m, t_min, t_max, UNLIMITED)
+
+
+@pytest.mark.parametrize(
+    "m, t_min, t_max, nodes, total",
+    [
+        (3, 78, 150, 239847, None),
+        (4, 34, 60, 200820, None),
+        (5, 19, 45, 333104, None),
+        (6, 1, 40, 344163, None),
+        (4, 1, 200, 31137418, 58375440),
+        (5, 1, 60, 1743150, 2066388),
+    ],
+)
+def test_search_node_totals_are_pinned(m, t_min, t_max, nodes, total):
+    # totals of the search that walked every last-mark window; both the
+    # product and the walk run in each of these
+    counts, spent = _run_search(m, t_min, t_max, UNLIMITED)
+    assert spent == nodes
+    if total is not None:
+        assert sum(counts) == total
+
+
+# g_3(t) = c0 + c1 t + t^2 / 2 for t >= 1, c0 by t mod 12 and c1 by parity
+# (the constituents test_02_quasipolynomial_m3_closed_form pins)
+G3_C0 = [F(10), F(5, 2), F(6), F(9, 2), F(8), F(5, 2), F(8), F(5, 2), F(8), F(9, 2), F(6), F(5, 2)]
+
+
+def test_g3_to_1000_matches_the_closed_form():
+    # about 249 000 allowed marks over 494 dense nodes: the 16-bit field
+    # accumulator is flushed several times before the search ends
+    counts, nodes = _run_search(3, 1, 1000, UNLIMITED)
+    assert nodes == 83042083
+    assert all(
+        counts[t] == G3_C0[t % 12] + (-4 if t % 2 == 0 else -3) * t + F(t * t, 2)
+        for t in range(1, 1001)
+    )
+
+
+def test_dense_nodes_count_by_product(monkeypatch):
+    # m = 3 nodes offer dozens of candidates for the second mark; no m = 6
+    # node below t = 35 offers more than 10
+    calls = []
+    spread = rulers._spread
+
+    def counted(*args):
+        calls.append(args)
+        return spread(*args)
+
+    monkeypatch.setattr(rulers, "_spread", counted)
+    golomb_counts(3, 1, 150)
+    assert calls
+    calls.clear()
+    golomb_counts(6, 1, 34)
+    assert calls == []
