@@ -159,13 +159,16 @@ def _regions_arguments(p):
 
 
 def _cmd_regions(args):
-    orientations = golomb_graph.enumerate_constrained_orientations(args.m, budget=args.budget)
-    payload = {"m": args.m, "count": len(orientations)}
+    orders = golomb_graph.enumerate_constrained_orientations(args.m, budget=args.budget)
+    payload = {"m": args.m, "count": len(orders)}
     if args.list:
-        payload["orientations"] = [list(o.labels()) for o in orientations]
+        # each interval is labelled once, not once per order
+        intervals = golomb_graph.consecutive_subsets(args.m)
+        label = dict(zip(intervals, map(golomb_graph.interval_label, intervals)))
+        payload["orientations"] = [[label[iv] for iv in order] for order in orders]
     table = None
     if args.format == "text":
-        table = [f"m = {args.m}", f"count = {len(orientations)}"]
+        table = [f"m = {args.m}", f"count = {len(orders)}"]
         if args.list:
             table += [" < ".join(labels) for labels in payload["orientations"]]
     return EXIT_OK, payload, table

@@ -2,11 +2,12 @@
 
 Vertices are the intervals [a, b] with 1 <= a <= b <= m except [1, m]
 itself, so there are m(m+1)/2 - 1 of them. Strict containment fixes an arc
-U -> V; every remaining pair is an undirected edge. Two edges are coupled
-whenever their endpoint pairs leave the same residual intervals after
-removing the common block (equivalently, they lie on the same equal-sum
-hyperplane), and an admissible orientation must direct coupled edges the
-same way. Because the underlying graph is complete, an admissible acyclic
+U -> V; every remaining pair is an undirected edge. Each interval is read
+as its 0/1 indicator vector: two intervals are nested exactly when the
+difference of their indicators has one sign, and otherwise that difference
+is the normal of an equal-sum hyperplane. Two edges are coupled whenever
+they give the same normal, and an admissible orientation must direct
+coupled edges the same way. Because the underlying graph is complete, an admissible acyclic
 orientation is the same thing as a strict total order of the intervals
 extending containment and respecting the coupling.
 
@@ -37,8 +38,9 @@ cache, `_TABLES`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 
-from golomb.arrangement import DEFAULT_M_BOUND, Interval, golomb_hyperplanes, hyperplane_blocks
+from golomb.arrangement import DEFAULT_M_BOUND, Interval, golomb_hyperplanes
 from golomb.errors import DEFAULT_NODE_BUDGET, BudgetExceededError
 from golomb.mixed_graphs import MixedGraph
 from golomb.simplex import strict_cone_feasibility
@@ -61,19 +63,6 @@ def interval_label(interval: Interval) -> str:
     return "".join(str(i) for i in range(a, b + 1))
 
 
-@dataclass(frozen=True)
-class GolombOrientation:
-    """A strict total order on the proper consecutive subsets of [m],
-    smallest first; equivalently an admissible acyclic orientation of the
-    complete mixed graph on those intervals."""
-
-    m: int
-    order: tuple[Interval, ...]
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(interval_label(iv) for iv in self.order)
-
-
 def build_golomb_graph(m: int) -> MixedGraph:
     """The complete mixed graph on consecutive_subsets(m): vertex i+1 is the
     i-th interval, arcs run along strict containment, everything else is an
@@ -94,6 +83,9 @@ def build_golomb_graph(m: int) -> MixedGraph:
 @dataclass
 class _Tables:
     intervals: tuple[Interval, ...]
+    # each interval's 0/1 indicator vector: its dot product with z is the
+    # interval's sum
+    indicators: tuple[tuple[int, ...], ...]
     hyperplanes: tuple[tuple[int, ...], ...]
     incl_pred: tuple[int, ...]
     pair_info: tuple[tuple[tuple[int, int] | None, ...], ...]
@@ -108,6 +100,16 @@ class _Tables:
     def n(self) -> int:
         return len(self.intervals)
 
+    def chain_rows(self, order: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """Strict inequalities pinning down the cell of a total order of
+        vertex indices: the smallest interval sum is positive and consecutive
+        sums increase. The full order (hence every hyperplane side) follows
+        by transitivity."""
+        ind = self.indicators
+        rows = [ind[order[0]]]
+        rows += (tuple(map(sub, ind[v], ind[u])) for u, v in zip(order, order[1:]))
+        return rows
+
 
 # m -> its tables; the only cache in this module
 _TABLES: dict[int, _Tables] = {}
@@ -118,27 +120,27 @@ def _tables(m: int) -> _Tables:
         return _TABLES[m]
     ivs = consecutive_subsets(m)
     n = len(ivs)
+    ind = tuple(tuple(int(a <= x <= b) for x in range(1, m + 1)) for a, b in ivs)
     hypers = golomb_hyperplanes(m)
     hindex = {h: k for k, h in enumerate(hypers)}
-    sides_index = {blocks: k for k, blocks in enumerate(hyperplane_blocks(m))}
     incl_pred = [0] * n
     pair_info: list[list[tuple[int, int] | None]] = [[None] * n for _ in range(n)]
     class_edges: list[list[tuple[int, int]]] = [[] for _ in hypers]
     for i in range(n):
         for j in range(i + 1, n):
-            (a, b), (c, d) = ivs[i], ivs[j]
-            if a == c:
-                incl_pred[j] |= 1 << i
-            elif d <= b:
-                incl_pred[i] |= 1 << j
-            else:
-                # a < c and b < d: sum(z_p) = sum(z_q) loses the shared
-                # block, leaving the hyperplane with blocks (p - q, q - p);
-                # ordering i before j demands its negative side
-                k = sides_index[(a, min(b, c - 1)), (max(c, b + 1), d)]
+            diff = tuple(map(sub, ind[i], ind[j]))
+            k = hindex.get(diff)
+            if k is not None:
+                # neither interval holds the other: the shared block cancels
+                # and leaves a normal, whose first nonzero entry is +1 since
+                # i starts first; ordering i before j demands its negative side
                 pair_info[i][j] = (k, -1)
                 pair_info[j][i] = (k, 1)
                 class_edges[k].append((i, j))
+            elif max(diff) > 0:
+                incl_pred[i] |= 1 << j
+            else:
+                incl_pred[j] |= 1 << i
     # Exact additions among signed normals force further signs: whenever
     # s1*h1 + s2*h2 = s3*h3, the sides sign(h1.z) = s1 and sign(h2.z) = s2
     # imply sign(h3.z) = s3. These cut the orders that are pairwise
@@ -159,6 +161,7 @@ def _tables(m: int) -> _Tables:
                             sum_rules[k2].append((s2, k1, s1, k3, s3))
     tables = _TABLES[m] = _Tables(
         intervals=ivs,
+        indicators=ind,
         hyperplanes=hypers,
         incl_pred=tuple(incl_pred),
         pair_info=tuple(tuple(row) for row in pair_info),
@@ -249,30 +252,13 @@ def _enumerate_orders(m: int, limit: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _chain_rows(order: tuple[Interval, ...], m: int) -> list[tuple[int, ...]]:
-    """Strict inequalities pinning down the cell of a total order: the
-    smallest interval sum is positive and consecutive sums increase. The
-    full order (hence every hyperplane side) follows by transitivity."""
-    rows = []
-    vec = [0] * m
-    for i in range(order[0][0], order[0][1] + 1):
-        vec[i - 1] = 1
-    rows.append(tuple(vec))
-    for prev, nxt in zip(order, order[1:]):
-        vec = [0] * m
-        for i in range(nxt[0], nxt[1] + 1):
-            vec[i - 1] += 1
-        for i in range(prev[0], prev[1] + 1):
-            vec[i - 1] -= 1
-        rows.append(tuple(vec))
-    return rows
-
-
 def enumerate_constrained_orientations(
     m: int, *, budget: int = DEFAULT_NODE_BUDGET
-) -> tuple[GolombOrientation, ...]:
-    """All admissible total orders of the intervals, in a fixed depth-first
-    order, each certified realizable by an exact feasibility check. Their
+) -> tuple[tuple[Interval, ...], ...]:
+    """All admissible total orders of the intervals, each a tuple of
+    intervals, smallest sum first, in a fixed depth-first order, each
+    certified realizable by an exact feasibility check. Each is an
+    admissible acyclic orientation of build_golomb_graph(m). Their
     number equals the number of cells of the subdivided simplex and so the
     number of combinatorially different Golomb rulers.
 
@@ -285,12 +271,11 @@ def enumerate_constrained_orientations(
         raise ValueError(f"m={m} is above the enumeration bound {DEFAULT_M_BOUND}")
     tables = _tables(m)
     if tables.n == 0:
-        return (GolombOrientation(m, ()),)
+        return ((),)
     # the whole search runs here, before the first LP
     found = _enumerate_orders(m, budget)
-    orders = (tuple(tables.intervals[v] for v in o) for o in found)
     return tuple(
-        GolombOrientation(m, order)
-        for order in orders
-        if strict_cone_feasibility(_chain_rows(order, m))
+        tuple(tables.intervals[v] for v in o)
+        for o in found
+        if strict_cone_feasibility(tables.chain_rows(o))
     )

@@ -26,7 +26,7 @@ def census_rows(m):
     """The census's orientations, their sign rows (aligned with
     golomb_hyperplanes(m)) and each row's +1 positions as a bit mask."""
     orientations = enumerate_constrained_orientations(m)
-    rows = tuple(sign_row(m, o.order) for o in orientations)
+    rows = tuple(sign_row(m, o) for o in orientations)
     plus = tuple(sum(1 << k for k, s in enumerate(row) if s > 0) for row in rows)
     return orientations, rows, plus
 

@@ -13,7 +13,10 @@ with bit-sliced counters; the last two reciprocity rows before the
 multiplicity sum moved from the orientation census to the intersection
 lattice; the eight `GRAPH8` rows, on the 8-vertex mixed graph committed
 beside this file, before the chromatic polynomial was read off one
-coloring search and the mixed reciprocity sum moved to a subset DP). The
+coloring search and the mixed reciprocity sum moved to a subset DP; the
+last three `regions` rows, the census listed as text at m = 5 and the one
+empty order of m = 1, before the census read its rows and labels from one
+indicator vector per interval). The
 two `--jobs 2` rows pin a refusal, empty stdout and exit code 1, since
 every search runs in one process; any change to a single byte of any
 format fails here.
@@ -88,6 +91,9 @@ mixed chromatic-number --input GRAPH8 --format text  3a162eaa95bc549cca243a352fa
 mixed chromatic-number --input GRAPH8 --format json  a101b9a040126249fce68b3ecbc565007877d960992ec8f0e5a1a2883ee6bd62 0
 reciprocity mixed --t 2 --input GRAPH8 --format text  75fc2671ee3ce84d1a3597588e5f37c42a60f6b5933f0f286ce5b75100f235a8 0
 reciprocity mixed --t 2 --input GRAPH8 --format json  a8d7f5cf378f37cd1a5968fea52d5b45cc2b35c7b0093ff625d940ff2ce8fd2a 0
+regions --m 5 --list --format text  8030584f30582875e32b51d630e10718d2ee1e4001e8a70457ac14b65bd159d1 0
+regions --m 1 --list --format text  5eed15a2897a90d3f477a0087a708ca2f373750b94211ccd34c7a768e319e0d5 0
+regions --m 1 --list --format json  b5588ca59350f8d6ef090f2546347fb20c730ef01cc68295002cca4eab09e3a8 0
 """
 CASES = [line.rsplit(None, 2) for line in GOLDEN.strip().splitlines()]
 # the mixed graph of the GRAPH8 rows, in the shape of the benchmark's mixed workload

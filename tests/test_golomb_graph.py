@@ -10,7 +10,7 @@ from golomb.arrangement import golomb_hyperplanes, hyperplane_blocks
 from golomb.cli import main
 from golomb.errors import BudgetExceededError
 from golomb.golomb_graph import (
-    GolombOrientation,
+    _enumerate_orders,
     _tables,
     build_golomb_graph,
     consecutive_subsets,
@@ -24,6 +24,29 @@ from golomb.simplex import strict_cone_feasibility
 from census import census_multiplicities, census_rows, point_signs, sign_row
 from compositions import positive_compositions
 from normals import canonical_normal
+
+
+def chain_rows(order, m):
+    """The strict inequalities of a total order of intervals, built from
+    their endpoints: the first interval's indicator, then each interval's
+    indicator minus its predecessor's."""
+    rows = []
+    vec = [0] * m
+    for i in range(order[0][0], order[0][1] + 1):
+        vec[i - 1] = 1
+    rows.append(tuple(vec))
+    for prev, nxt in zip(order, order[1:]):
+        vec = [0] * m
+        for i in range(nxt[0], nxt[1] + 1):
+            vec[i - 1] += 1
+        for i in range(prev[0], prev[1] + 1):
+            vec[i - 1] -= 1
+        rows.append(tuple(vec))
+    return rows
+
+
+def labels(order):
+    return tuple(interval_label(iv) for iv in order)
 
 
 def oracle_orientations(m):
@@ -51,21 +74,6 @@ def oracle_orientations(m):
             u, v = residuals(p, q)
             coupled.append((p, q, u, v))
 
-    def chain_rows(order):
-        rows = []
-        vec = [0] * m
-        for i in range(order[0][0], order[0][1] + 1):
-            vec[i - 1] = 1
-        rows.append(tuple(vec))
-        for prev, nxt in zip(order, order[1:]):
-            vec = [0] * m
-            for i in range(nxt[0], nxt[1] + 1):
-                vec[i - 1] += 1
-            for i in range(prev[0], prev[1] + 1):
-                vec[i - 1] -= 1
-            rows.append(tuple(vec))
-        return rows
-
     found = []
     for perm in permutations(ivs):
         pos = {iv: i for i, iv in enumerate(perm)}
@@ -75,7 +83,7 @@ def oracle_orientations(m):
             continue
         if any((pos[p] < pos[q]) != (pos[u] < pos[v]) for p, q, u, v in coupled):
             continue
-        if perm and not strict_cone_feasibility(chain_rows(perm)):
+        if perm and not strict_cone_feasibility(chain_rows(perm, m)):
             continue
         found.append(perm)
     return found
@@ -185,14 +193,14 @@ def test_orientation_counts_match_brute_force():
     for m in (1, 2, 3):
         fast = enumerate_constrained_orientations(m)
         brute = oracle_orientations(m)
-        assert sorted(o.order for o in fast) == sorted(brute)
+        assert sorted(fast) == sorted(brute)
 
 
 @pytest.mark.slow
 def test_orientation_count_matches_brute_force_m4():
     fast = enumerate_constrained_orientations(4)
     brute = oracle_orientations(4)
-    assert sorted(o.order for o in fast) == sorted(brute)
+    assert sorted(fast) == sorted(brute)
 
 
 def test_orientation_counts_small():
@@ -203,32 +211,36 @@ def test_orientation_counts_small():
 
 
 def test_m2_orientations_explicit():
-    labels = {o.labels() for o in enumerate_constrained_orientations(2)}
-    assert labels == {("1", "2"), ("2", "1")}
+    assert set(map(labels, enumerate_constrained_orientations(2))) == {("1", "2"), ("2", "1")}
 
 
 def test_known_order_is_found():
-    labels = {o.labels() for o in enumerate_constrained_orientations(3)}
-    assert ("1", "2", "12", "3", "23") in labels  # realized by gaps (1, 2, 4)
+    found = set(map(labels, enumerate_constrained_orientations(3)))
+    assert ("1", "2", "12", "3", "23") in found  # realized by gaps (1, 2, 4)
 
 
 def test_orders_extend_containment():
     for o in enumerate_constrained_orientations(3):
-        pos = {iv: i for i, iv in enumerate(o.order)}
+        pos = {iv: i for i, iv in enumerate(o)}
         assert pos[(1, 1)] < pos[(1, 2)]
         assert pos[(2, 2)] < pos[(1, 2)]
         assert pos[(2, 2)] < pos[(2, 3)]
         assert pos[(3, 3)] < pos[(2, 3)]
 
 
-def test_m5_survivors_are_decided_with_certificates():
-    from golomb.golomb_graph import _chain_rows, _enumerate_orders, _tables
+def test_table_rows_match_the_endpoint_oracle():
+    for m in range(2, 6):
+        tables = _tables(m)
+        for o in _enumerate_orders(m, 10**9):
+            assert tables.chain_rows(o) == chain_rows([tables.intervals[v] for v in o], m)
 
-    intervals = _tables(5).intervals
+
+def test_m5_survivors_are_decided_with_certificates():
+    tables = _tables(5)
     orders = _enumerate_orders(5, 10**9)
     infeasible = 0
     for o in orders:
-        rows = _chain_rows(tuple(intervals[v] for v in o), 5)
+        rows = tables.chain_rows(o)
         result = strict_cone_feasibility(rows)
         if result.feasible:
             assert all(sum(c * x for c, x in zip(r, result.witness)) >= 1 for r in rows)
@@ -302,7 +314,7 @@ def multiplicity_by_definition(z, orientations):
     intervals carries a weak sum inequality at z."""
     count = 0
     for o in orientations:
-        sums = [sum(z[i - 1] for i in range(a, b + 1)) for a, b in o.order]
+        sums = [sum(z[i - 1] for i in range(a, b + 1)) for a, b in o]
         if all(s1 <= s2 for s1, s2 in zip(sums, sums[1:])):
             count += 1
     return count
@@ -364,26 +376,24 @@ def test_sign_vectors_are_distinct_and_match_ruler_relations():
 
 
 def test_sign_vector_m2():
-    first = next(
-        o for o in enumerate_constrained_orientations(2) if o.labels() == ("1", "2")
-    )
+    first = next(o for o in enumerate_constrained_orientations(2) if labels(o) == ("1", "2"))
     assert golomb_hyperplanes(2) == ((1, -1),)
-    assert sign_row(2, first.order) == (-1,)
+    assert sign_row(2, first) == (-1,)
 
 
 def test_complement_orientation_is_fixed_point_free_involution():
     # gap reversal z_i -> z_{m+1-i} maps the interval [a, b] to
     # [m+1-b, m+1-a] and permutes the cells, fixing none for m >= 2
-    def reversed_order(o):
-        return GolombOrientation(o.m, tuple((o.m + 1 - b, o.m + 1 - a) for a, b in o.order))
+    def reversed_order(o, m):
+        return tuple((m + 1 - b, m + 1 - a) for a, b in o)
 
     for m in (2, 3, 4):
         orientations = set(enumerate_constrained_orientations(m))
         for o in orientations:
-            image = reversed_order(o)
+            image = reversed_order(o, m)
             assert image in orientations
             assert image != o
-            assert reversed_order(image) == o
+            assert reversed_order(image, m) == o
 
 
 @dataclass(frozen=True)
@@ -393,7 +403,7 @@ class RealizabilityReport:
     m: int
     total: int
     realized: int
-    unrealized: tuple[GolombOrientation, ...]
+    unrealized: tuple[tuple[tuple[int, int], ...], ...]
     stray_sign_vectors: tuple[tuple[int, ...], ...]
     length_searched: int
 

@@ -110,10 +110,12 @@ def test_leading_coefficients():
 
 
 def test_wrong_period_hypothesis_is_diagnosed(monkeypatch):
-    # period 5 does not divide into the true period 12; the residue classes
-    # then mix incompatible counts and interpolation cannot stay consistent
+    # period 5 is not a multiple of the true period 12. The samples
+    # t = 1..15 give each residue class exactly degree + 1 = 3 points, so
+    # interpolation has no surplus sample to find inconsistent; the classes
+    # mix incompatible counts, and the leading coefficient comes out wrong
     monkeypatch.setattr(quasipolynomial, "period_bound", lambda m, budget=None: 5)
-    with pytest.raises((LeadingCoefficientError, InconsistentValuesError)):
+    with pytest.raises(LeadingCoefficientError, match="residue 0: leading coefficient 4/5, expected 1/2"):
         golomb_quasipolynomial(3)
 
 
@@ -178,18 +180,36 @@ def test_reciprocity_m1():
     assert all(row.lhs == row.rhs == 1 for row in report.rows)
 
 
+def spy_on(monkeypatch, names):
+    """Wrap each named function of golomb.quasipolynomial so that its calls
+    are recorded, in order, in the returned list."""
+    called = []
+
+    def spy(name, real):
+        def wrapper(*args, **kwargs):
+            called.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(quasipolynomial, name, spy(name, getattr(quasipolynomial, name)))
+    return called
+
+
 def test_negative_t_is_refused_before_any_work(monkeypatch):
-    import golomb.quasipolynomial as quasipolynomial
     from golomb.cli import main
 
-    def no_work(*args, **kwargs):
-        raise AssertionError("the quasipolynomial was built although a t is negative")
-
-    monkeypatch.setattr(quasipolynomial, "golomb_quasipolynomial", no_work)
+    work = ("period_bound", "orthant_lattice", "_interpolate_counts")
+    called = spy_on(monkeypatch, work)
     for t_values in ([2, -1], iter([0, -3])):
         with pytest.raises(ValueError):
             reciprocity_check_golomb(3, t_values)
     assert main(["reciprocity", "golomb", "--m", "4", "--t", "-1"]) == 1
+    assert called == []
+    # the spies sit on the names a valid check really calls
+    assert reciprocity_check_golomb(3, [2, 0]).ok
+    assert called == list(work)
 
 
 def line_sum(m, t):
@@ -234,7 +254,6 @@ def test_pinned_multiplicity_sums():
 
 
 def test_reciprocity_budget_is_checked_before_the_sum(monkeypatch, capsys):
-    import golomb.quasipolynomial as quasipolynomial
     from golomb.cli import main
 
     # m = 2 has two flats, both closed form: two nodes per level, 200 for
@@ -252,14 +271,17 @@ def test_reciprocity_budget_is_checked_before_the_sum(monkeypatch, capsys):
     assert main([*argv, "3600"]) == 0
     assert "t=399: lhs=80802 rhs=80802 ok" in capsys.readouterr().out
 
-    def no_work(*args, **kwargs):
-        raise AssertionError("the quasipolynomial was built although the sum is over budget")
-
-    monkeypatch.setattr(quasipolynomial, "golomb_quasipolynomial", no_work)
+    # the quasipolynomial is interpolated only after the sum: a check that
+    # fits the budget calls _interpolate_counts once, one over it never
+    called = spy_on(monkeypatch, ["_interpolate_counts"])
+    assert reciprocity_check_golomb(3, range(100), budget=4000).ok
+    assert called == ["_interpolate_counts"]
+    called.clear()
     with pytest.raises(BudgetExceededError, match="golomb reciprocity sum"):
         reciprocity_check_golomb(3, range(400), budget=3599)
     assert main([*argv, "3599"]) == 2
     assert capsys.readouterr().out == ""
+    assert called == []
 
 
 def test_requests_out_of_reach_are_refused_before_the_lattice(monkeypatch, capsys):
