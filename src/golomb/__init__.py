@@ -6,7 +6,6 @@ hyperplanes (golomb.lattice); the orientation census lists the cells.
 `__all__` holds exactly the names a command calls or the README's module
 overview names; everything else belongs to its module."""
 
-from golomb.arrangement import iop_vertices, period_bound
 from golomb.errors import (
     BudgetExceededError,
     InconsistentValuesError,
@@ -15,7 +14,7 @@ from golomb.errors import (
     LeadingCoefficientError,
 )
 from golomb.golomb_graph import build_golomb_graph, enumerate_constrained_orientations
-from golomb.lattice import multiplicity
+from golomb.lattice import iop_vertices, multiplicity, period_bound
 from golomb.mixed_graphs import (
     MixedGraph,
     chromatic_number,

@@ -24,7 +24,7 @@ import json
 import sys
 from typing import Callable, NamedTuple
 
-from golomb import arrangement, golomb_graph, mixed_graphs
+from golomb import golomb_graph, lattice, mixed_graphs
 from golomb.errors import DEFAULT_NODE_BUDGET, BudgetExceededError, LeadingCoefficientError
 from golomb.fixtures import FIXTURE_GRAPHS, KNOWN_COUNTS_M3
 from golomb.quasipolynomial import golomb_quasipolynomial, reciprocity_check_golomb
@@ -271,9 +271,9 @@ def _vertices_arguments(p):
 
 
 def _cmd_vertices(args):
-    points = arrangement.iop_vertices(args.m, budget=args.budget)
+    points = lattice.iop_vertices(args.m, budget=args.budget)
     coordinates = [[format_fraction(c) for c in point] for point in points]
-    bound = arrangement.denominator_lcm(points)
+    bound = lattice.period_bound(args.m, budget=args.budget)
     payload = {"m": args.m, "period_bound": bound, "vertices": coordinates}
     table = None
     if args.format == "csv":

@@ -1,8 +1,11 @@
 """Exceptions shared across the enumeration and interpolation modules, and
-the default node budget of every search."""
+the default limits of the searches."""
 
 # the budget of every search that is given none
 DEFAULT_NODE_BUDGET = 10**9
+
+# the largest m that the census and the intersection lattice enumerate
+DEFAULT_M_BOUND = 6
 
 
 class BudgetExceededError(RuntimeError):

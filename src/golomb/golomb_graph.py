@@ -40,8 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import sub
 
-from golomb.arrangement import DEFAULT_M_BOUND, Interval, golomb_hyperplanes
-from golomb.errors import DEFAULT_NODE_BUDGET, BudgetExceededError
+from golomb.arrangement import Interval, golomb_hyperplanes
+from golomb.errors import DEFAULT_M_BOUND, DEFAULT_NODE_BUDGET, BudgetExceededError
 from golomb.mixed_graphs import MixedGraph
 from golomb.simplex import strict_cone_feasibility
 

@@ -1,4 +1,5 @@
-"""The flats of the equal-sum arrangement that meet the open orthant.
+"""The flats of the equal-sum arrangement that meet the open orthant, and
+the vertices of the subdivided simplex read off them.
 
 A flat is an intersection of equal-sum hyperplanes (those of
 arrangement.golomb_hyperplanes), ordered by reverse inclusion with R^m
@@ -10,16 +11,22 @@ comes with its Möbius value mu(0̂, u), which the down-set determines.
 A flat is keyed by the bitmask of the hyperplanes that contain it, and
 carries an integer basis of its integer points Z^m ∩ u. Joining a
 hyperplane h reduces the basis columns against h by unimodular column
-operations (arrangement._split, Euclid on the values h.b): one column
-keeps the gcd of the values, the others vanish on h and are a basis of
-the integer points of the join. Each column carries its products with
-every hyperplane, which the same column operations keep exact, so the
+operations (_split, Euclid on the values h.b): one column keeps the gcd
+of the values, the others vanish on h and are a basis of the integer
+points of the join. Each column carries its products with every
+hyperplane, which the same column operations keep exact, so the
 hyperplanes holding a join are read off them, only those outside the
 parent, whose hyperplanes hold every column already. A hyperplane
 already in an earlier child's closure gives that child again and is
 skipped; every other join is a search node counted against the budget.
-A new flat costs one exact feasibility check, whether some combination
-of its basis is positive in every coordinate.
+
+A new flat needs an exact verdict: does it meet the open orthant? Each
+flat of the rank being joined keeps up to m positive integer points on
+it; R^m keeps 1 + m e_i, which put every normal 1_U - 1_V on both sides.
+A point of the parent on h carries over, and points p, q on opposite
+sides of h give (h.p) q - (h.q) p, positive and on h. A one-column join
+meets the orthant when its column has one strict sign; any other join
+with no point runs the LP (simplex.strict_cone_feasibility).
 
 Zaslavsky's theorem for an arrangement restricted to an open convex set
 counts the cells of the orthant as the sum of |mu(0̂, u)| over these flats
@@ -29,17 +36,59 @@ reads off the lattice; weighted_counts sums it over the gap vectors of
 total t as sum over u of |mu(0̂, u)| * N_u(t), where N_u(t) counts the
 non-negative integer points of u with coordinate sum t. The
 quasipolynomial module explains why, and checks reciprocity with it.
+
+The vertices of the simplex {z >= 0, sum z = 1} subdivided by the family
+are read off the rays, the one-column flats. On the face whose support T
+has k coordinates, the normals taking both signs on T restrict to the
+family of R^k, and the others cut no point positive on T; so the
+vertices with support T are the rays of orthant_lattice(k), placed on T
+and scaled to sum 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
-from operator import itemgetter
+from fractions import Fraction
+from itertools import combinations, islice, product
+from math import comb, lcm
+from operator import itemgetter, mul
 
-from golomb.arrangement import DEFAULT_M_BOUND, Vector, _split, golomb_hyperplanes
-from golomb.errors import DEFAULT_NODE_BUDGET, BudgetExceededError
+from golomb.arrangement import golomb_hyperplanes
+from golomb.errors import DEFAULT_M_BOUND, DEFAULT_NODE_BUDGET, BudgetExceededError
 from golomb.simplex import strict_cone_feasibility
+
+Vector = tuple[int, ...]
+Point = tuple[Fraction, ...]
+
+
+def _split(columns, value) -> tuple[Vector | None, list[Vector]]:
+    """Unimodular column reduction of `columns` against a linear map, value:
+    the columns become one pivot, whose value is the gcd g > 0 of the
+    values, and columns on which the map vanishes; together they span the
+    same lattice. The pivot is None when the map vanishes on every column."""
+    rest, live = [], []
+    for c in columns:
+        v = value(c)
+        if v:
+            live.append((v, c))
+        else:
+            rest.append(c)
+    while len(live) > 1:
+        live.sort(key=lambda vc: abs(vc[0]))
+        v0, c0 = live[0]
+        kept = [live[0]]
+        for v, c in live[1:]:
+            q = v // v0
+            c = tuple(a - q * b for a, b in zip(c, c0))
+            if v - q * v0:
+                kept.append((v - q * v0, c))
+            else:
+                rest.append(c)
+        live = kept
+    if not live:
+        return None, rest
+    v, c = live[0]
+    return (c if v > 0 else tuple(-a for a in c)), rest
 
 
 @dataclass(frozen=True)
@@ -92,12 +141,15 @@ def _build(m: int, limit: int) -> Lattice:
     bases = [tuple((*(int(i == j) for j in range(m)), *(h[i] for h in hypers)) for i in range(m))]
     covers: list[list[int]] = [[]]  # the flats each flat covers, by index
     full = (1 << len(hypers)) - 1
+    # positive integer points on the flats of the current rank, by index
+    points = {0: [tuple(1 + m * (i == j) for j in range(m)) for i in range(m)]}
     level = [0]
     nodes = 0
     while level:
         index: dict[int, int] = {}
         missed: set[int] = set()
         nxt = []
+        reached = {}
         for i in level:
             basis = bases[i]
             if len(basis) == 1:
@@ -124,7 +176,8 @@ def _build(m: int, limit: int) -> Lattice:
                 if j is None:
                     if mask in missed:
                         continue
-                    if not strict_cone_feasibility(list(zip(*child))[:m]):
+                    found = _positive_points(points[i], hypers[k], child, m)
+                    if not found:
                         missed.add(mask)
                         continue
                     j = index[mask] = len(masks)
@@ -132,8 +185,9 @@ def _build(m: int, limit: int) -> Lattice:
                     bases.append(tuple(child))
                     covers.append([])
                     nxt.append(j)
+                    reached[j] = found
                 covers[j].append(i)
-        level = nxt
+        level, points = nxt, reached
     # mu(0̂, u) = -(sum of mu over the flats strictly below u), found as a
     # bitset of flat indices through the cover links
     below = [0] * len(masks)
@@ -154,6 +208,29 @@ def _build(m: int, limit: int) -> Lattice:
         tuple(Flat(mask, tuple(c[:m] for c in basis), mu) for mask, basis, mu in zip(masks, bases, mu)),
         nodes,
     )
+
+
+def _positive_points(parent, h, child, m: int) -> list[Vector]:
+    """Up to m positive integer points on the join, with basis columns
+    child, of the flat holding the points parent and the hyperplane of
+    normal h; none when the join misses the open orthant. Each point is
+    checked in integers, and each LP verdict by its certificate."""
+    if len(child) == 1:
+        c = child[0][:m]
+        return [c] if min(c) > 0 else [tuple(-x for x in c)] if max(c) < 0 else []
+    sides = [(sum(map(mul, h, p)), p) for p in parent]
+    found = [p for v, p in sides if not v]
+    crossed = (tuple(a * y - b * x for x, y in zip(p, q)) for a, p in sides if a > 0 for b, q in sides if b < 0)
+    found += islice((r for r in crossed if min(r) > 0 and not sum(map(mul, h, r))), m - len(found))
+    if found:
+        return found
+    rows = list(zip(*child))[:m]
+    result = strict_cone_feasibility(rows)
+    if not result:
+        return []
+    scale = lcm(*(w.denominator for w in result.witness))
+    weights = [int(w * scale) for w in result.witness]
+    return [tuple(sum(map(mul, weights, row)) for row in rows)]
 
 
 def _level_counter(basis, charge):
@@ -256,3 +333,33 @@ def multiplicity(z, *, budget: int = DEFAULT_NODE_BUDGET) -> int:
         1 << k for k, h in enumerate(lattice.hyperplanes) if not sum(a * b for a, b in zip(h, gaps))
     )
     return sum(abs(f.mu) for f in lattice.flats if not f.mask & ~on)
+
+
+def _rays(m: int, budget: int) -> dict[int, list[Vector]]:
+    """k -> the primitive positive rays of orthant_lattice(k), k = m..1:
+    m first, so its refusal comes before any smaller lattice is built."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    return {
+        k: [tuple(map(abs, f.basis[0])) for f in orthant_lattice(k, budget=budget).flats if len(f.basis) == 1]
+        for k in range(m, 0, -1)
+    }
+
+
+def iop_vertices(m: int, *, budget: int = DEFAULT_NODE_BUDGET) -> tuple[Point, ...]:
+    """Vertices of the subdivided simplex, sorted: each ray c of
+    orthant_lattice(k) placed as c / sum(c) on every support of k
+    coordinates. The budget and the bound on m are orthant_lattice's."""
+    points = []
+    for k, rays in _rays(m, budget).items():
+        for support, c in product(combinations(range(m), k), rays):
+            on = dict(zip(support, c))
+            points.append(tuple(Fraction(on.get(j, 0), sum(c)) for j in range(m)))
+    return tuple(sorted(points))
+
+
+def period_bound(m: int, *, budget: int = DEFAULT_NODE_BUDGET) -> int:
+    """lcm of the coordinate denominators over all subdivision vertices,
+    which is the lcm of the ray sums: c / sum(c) has denominators of lcm
+    sum(c) for a primitive ray c. The counting period divides it."""
+    return lcm(*(sum(c) for rays in _rays(m, budget).values() for c in rays))

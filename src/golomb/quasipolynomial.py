@@ -38,14 +38,13 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import Iterable, Mapping
 
-from golomb.arrangement import period_bound
 from golomb.errors import (
     DEFAULT_NODE_BUDGET,
     InconsistentValuesError,
     InsufficientPointsError,
     LeadingCoefficientError,
 )
-from golomb.lattice import orthant_lattice, weighted_counts
+from golomb.lattice import orthant_lattice, period_bound, weighted_counts
 from golomb.ratpoly import (
     Poly,
     format_fraction,
@@ -126,10 +125,10 @@ def interpolate(values: Mapping[int, int], degree: int, period: int) -> Quasipol
 
 def golomb_quasipolynomial(m: int, *, budget: int = DEFAULT_NODE_BUDGET) -> Quasipolynomial:
     """Counting quasipolynomial for Golomb gap vectors with m entries, on
-    the period period_bound(m). The budget caps the constraint subsets
-    behind the period bound and the nodes of the one ruler search; the
-    search's node floor at the least period the bound can be is checked
-    before either (_check_least_period_floor)."""
+    the period period_bound(m). The budget caps the lattice joins behind
+    the period bound and the nodes of the one ruler search; the search's
+    node floor at the least period the bound can be is checked before
+    either (_check_least_period_floor)."""
     if m < 1:
         raise ValueError("m must be >= 1")
     _check_least_period_floor(m, budget)
@@ -137,7 +136,7 @@ def golomb_quasipolynomial(m: int, *, budget: int = DEFAULT_NODE_BUDGET) -> Quas
 
 
 def _check_least_period_floor(m: int, budget: int) -> None:
-    """Refuse, before any vertex is enumerated, a ruler search that no
+    """Refuse, before any lattice is built, a ruler search that no
     period bound can make fit. For each k <= m the point (1/k, ..., 1/k, 0,
     ..., 0) with k nonzero entries is a subdivision vertex, cut out by the
     hyperplanes z_i = z_(i+1) for i < k and the facets z_j = 0 for j > k,
@@ -195,13 +194,13 @@ def reciprocity_check_golomb(
     equal-sum arrangement that meet the open orthant, with N_u(t) the
     non-negative integer points of u of sum t: mult(z) is sum |mu(0̂, u)|
     over those flats through z (see the module docstring). Negative t is
-    refused before any work. The budget caps, each on its own, the period
-    bound, the ruler search, the joins of the lattice build and the sum
-    (one node per flat and distinct level, plus one per value a flat's walk
-    visits; see lattice.weighted_counts). The cheap refusals come first:
-    the ruler search's node floor at the least possible period, the period
-    bound's subset count, then the node floor for the sample range; then the lattice and the sum, and only then the
-    ruler search and the interpolation of the quasipolynomial."""
+    refused before any work. The budget caps, each on its own, the joins of
+    each lattice build, the ruler search and the sum (one node per flat and
+    distinct level, plus one per value a flat's walk visits; see
+    lattice.weighted_counts). The ruler search's node floor at the least
+    possible period comes first, then the lattices of k <= m behind the
+    period bound, the node floor for the sample range and the sum, and
+    only then the ruler search and the interpolation."""
     t_values = list(t_values)
     if any(t < 0 for t in t_values):
         raise ValueError("t values must be >= 0")

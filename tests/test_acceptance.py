@@ -11,10 +11,9 @@ from itertools import combinations
 
 import pytest
 
-from golomb.arrangement import iop_vertices, period_bound
 from golomb.fixtures import KNOWN_COUNTS_M3, TRIANGLE
 from golomb.golomb_graph import enumerate_constrained_orientations
-from golomb.lattice import multiplicity
+from golomb.lattice import iop_vertices, multiplicity, period_bound
 from golomb.mixed_graphs import (
     MixedGraph,
     chromatic_polynomial,

@@ -8,16 +8,11 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, strategies as st
 
-from golomb.arrangement import (
-    _split,
-    dpcs_pairs,
-    golomb_hyperplanes,
-    hyperplane_blocks,
-    iop_vertices,
-    period_bound,
-)
+from golomb import lattice
+from golomb.arrangement import dpcs_pairs, golomb_hyperplanes, hyperplane_blocks
 from golomb.cli import main
-from golomb.errors import BudgetExceededError
+from golomb.errors import DEFAULT_NODE_BUDGET, BudgetExceededError
+from golomb.lattice import _split, iop_vertices, period_bound
 
 from normals import canonical_normal
 
@@ -129,30 +124,42 @@ def test_vertices_match_the_fraction_oracle():
         assert iop_vertices(m) == fraction_vertices(m)
 
 
-def test_vertex_budget_counts_constraint_subsets():
-    # m=4: 15 hyperplanes and 4 facets, C(19, 3) = 969 subsets
-    assert len(iop_vertices(4, budget=969)) == 42
-    assert period_bound(4, budget=969) == 840
+@pytest.mark.slow
+def test_m5_vertices_match_the_fraction_oracle():
+    # 411 vertices from C(45, 4) = 148 995 Gauss-Jordan solves
+    assert iop_vertices(5) == fraction_vertices(5)
+
+
+def test_vertex_budget_counts_lattice_joins(monkeypatch):
+    # the lattices of m = 1..4 spend 0, 1, 19 and 431 joins; a fresh cache
+    # for each call, so a build and not a cached lattice meets the budget
     for call in (iop_vertices, period_bound):
-        with pytest.raises(BudgetExceededError, match=r"C\(19, 3\) = 969"):
-            call(4, budget=968)
+        monkeypatch.setattr(lattice, "_LATTICES", {})
+        with pytest.raises(BudgetExceededError, match="intersection lattice of the m=4 hyperplanes"):
+            call(4, budget=430)
+    monkeypatch.setattr(lattice, "_LATTICES", {})
+    assert len(iop_vertices(4, budget=431)) == 42
+    monkeypatch.setattr(lattice, "_LATTICES", {})
+    assert period_bound(4, budget=431) == 840
 
 
 def test_vertex_budget_defaults_to_the_node_budget(monkeypatch):
-    import golomb.arrangement as arrangement
+    builds = []
+    original = lattice._build
 
-    def no_search(columns, value):
-        raise AssertionError("the subset search started although it was over budget")
+    def recorded(m, limit):
+        builds.append((m, limit))
+        return original(m, limit)
 
-    # m = 7: C(133, 6) = 6 856 577 728 subsets, above the default 10^9
-    monkeypatch.setattr(arrangement, "_split", no_search)
+    monkeypatch.setattr(lattice, "_build", recorded)
+    monkeypatch.setattr(lattice, "_LATTICES", {})
+    # m = 7 is refused by the enumeration bound before any lattice is built
     for call in (iop_vertices, period_bound):
-        with pytest.raises(BudgetExceededError, match=r"C\(133, 6\) = 6856577728"):
+        with pytest.raises(ValueError, match="m=7 is above the enumeration bound 6"):
             call(7)
-    monkeypatch.undo()
-    with pytest.raises(BudgetExceededError, match=r"C\(19, 3\) = 969"):
-        iop_vertices(4, budget=968)
-    assert len(iop_vertices(4, budget=969)) == 42
+    assert builds == []
+    assert len(iop_vertices(4)) == 42
+    assert builds == [(m, DEFAULT_NODE_BUDGET) for m in (4, 3, 2, 1)]
 
 
 def test_canonical_normal():
@@ -270,7 +277,6 @@ def test_period_bounds():
     assert len(iop_vertices(4)) == 42
 
 
-@pytest.mark.slow
 def test_m5_vertices_and_period_bound():
     points = iop_vertices(5)
     assert len(points) == 411
@@ -278,7 +284,7 @@ def test_m5_vertices_and_period_bound():
 
 
 def test_period_bound_is_denominator_lcm():
-    for m in (2, 3, 4):
+    for m in (1, 2, 3, 4, 5):
         denominators = [c.denominator for p in iop_vertices(m) for c in p]
         assert period_bound(m) == lcm(*denominators)
 

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import golomb.cli as cli
+import golomb.lattice as lattice
 import golomb.mixed_graphs as mixed_graphs
 import golomb.rulers as rulers
 from golomb.cli import main
@@ -151,6 +152,20 @@ def test_reciprocity_mixed_at_a_large_t(capsys):
     assert payload["ok"] is True and payload["lhs"] == str(payload["rhs"])
 
 
+def record_lattice_builds(monkeypatch) -> list[int]:
+    """The m of every intersection lattice built from here on, none cached."""
+    calls = []
+    original = lattice._build
+
+    def counted(m, limit):
+        calls.append(m)
+        return original(m, limit)
+
+    monkeypatch.setattr(lattice, "_build", counted)
+    monkeypatch.setattr(lattice, "_LATTICES", {})
+    return calls
+
+
 @pytest.mark.parametrize(
     "argv, key, value",
     [
@@ -162,19 +177,12 @@ def test_reciprocity_mixed_at_a_large_t(capsys):
     ids=["quasipoly", "vertices", "reciprocity"],
 )
 def test_vertices_are_enumerated_once_per_command(capsys, monkeypatch, argv, key, value):
-    from golomb import arrangement
-
-    calls = []
-    original = arrangement.iop_vertices
-
-    def counted(m, **kwargs):
-        calls.append(m)
-        return original(m, **kwargs)
-
-    monkeypatch.setattr(arrangement, "iop_vertices", counted)
+    # the vertices and the period bound are read off the lattices of
+    # k = 1..3, each built once per command
+    calls = record_lattice_builds(monkeypatch)
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0 and json.loads(out)[key] == value
-    assert calls == [3]
+    assert calls == [3, 2, 1]
 
 
 def test_quasipoly_has_no_period_override(capsys):
@@ -422,14 +430,19 @@ def test_exit_code_budget(capsys):
     assert "budget" in err
 
 
-def test_vertex_budget_fails_before_any_work(capsys):
-    # m=7 has C(133, 6) = 6 856 577 728 constraint subsets, over the default budget of 10^9
+def test_vertex_budget_fails_before_any_work(capsys, monkeypatch):
+    # m = 7 is above the enumeration bound, like `regions --m 7`, and is
+    # refused before any lattice is built; m = 4 spends 431 lattice joins
+    calls = record_lattice_builds(monkeypatch)
     code, out, err = run_cli(capsys, "vertices", "--m", "7")
-    assert code == 2 and out == "" and "budget" in err
-    code, out, err = run_cli(capsys, "quasipoly", "--m", "4", "--budget", "968")
-    assert code == 2 and out == "" and "C(19, 3) = 969" in err
-    code, out, _ = run_cli(capsys, "vertices", "--m", "4", "--budget", "969", "--format", "json")
+    assert (code, out) == (1, "") and "m=7 is above the enumeration bound 6" in err
+    assert calls == []
+    code, out, err = run_cli(capsys, "vertices", "--m", "4", "--budget", "430")
+    assert (code, out) == (2, "") and "budget of 430 nodes exceeded in intersection lattice of the m=4" in err
+    monkeypatch.setattr(lattice, "_LATTICES", {})
+    code, out, _ = run_cli(capsys, "vertices", "--m", "4", "--budget", "431", "--format", "json")
     assert code == 0 and len(json.loads(out)["vertices"]) == 42
+    assert calls == [4, 4, 3, 2, 1]
 
 
 def test_ruler_counts_that_cannot_fit_fail_fast(capsys, monkeypatch):
@@ -444,23 +457,24 @@ def test_ruler_counts_that_cannot_fit_fail_fast(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv, floor",
+    "argv, floor, allowed",
     [
-        (("quasipoly", "--m", "6"), "at least 2939605672 nodes for t = 1..360"),
-        (("reciprocity", "golomb", "--m", "5", "--t", "0"), "at least 4131878516 nodes for t = 1..300"),
+        (("quasipoly", "--m", "6"), "at least 2939605672 nodes for t = 1..360", ("quasipoly", "--m", "3")),
+        (("reciprocity", "golomb", "--m", "5", "--t", "0"), "at least 4131878516 nodes for t = 1..300",
+         ("reciprocity", "golomb", "--m", "3", "--t", "0")),
     ],
     ids=["quasipoly", "reciprocity"],
 )
-def test_m5_and_m6_fail_before_the_vertex_search(capsys, monkeypatch, argv, floor):
-    # lcm(1..m) divides the period bound, so the samples reach m * lcm(1..m)
-    from golomb import arrangement
-
-    def never(*args, **kwargs):
-        raise AssertionError("the vertices were enumerated for a request the floor refuses")
-
-    monkeypatch.setattr(arrangement, "iop_vertices", never)
+def test_m5_and_m6_fail_before_the_vertex_search(capsys, monkeypatch, argv, floor, allowed):
+    # lcm(1..m) divides the period bound, so the samples reach m * lcm(1..m);
+    # the floor refuses before the lattices behind the period bound are built
+    calls = record_lattice_builds(monkeypatch)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and floor in err
+    assert calls == []
+    # the spy sits where a request the floor lets through builds them
+    assert run_cli(capsys, *allowed)[0] == 0
+    assert calls == [3, 2, 1]
 
 
 def test_exit_code_input_error_on_bad_graph_file(tmp_path):

@@ -16,7 +16,8 @@ beside this file, before the chromatic polynomial was read off one
 coloring search and the mixed reciprocity sum moved to a subset DP; the
 last three `regions` rows, the census listed as text at m = 5 and the one
 empty order of m = 1, before the census read its rows and labels from one
-indicator vector per interval). The
+indicator vector per interval). The slow `vertices --m 6` pin was taken
+before the vertices were read off the intersection lattices. The
 two `--jobs 2` rows pin a refusal, empty stdout and exit code 1, since
 every search runs in one process; any change to a single byte of any
 format fails here.
@@ -108,6 +109,13 @@ def digest(text: str) -> str:
 def test_stdout_is_pinned(capsys, command, sha256, code):
     assert main(command.replace("GRAPH8", GRAPH8).split()) == int(code)
     assert digest(capsys.readouterr().out) == sha256
+
+
+@pytest.mark.slow
+def test_m6_vertices_are_pinned(capsys):
+    # 8394 vertices and the period bound 144403552893600
+    assert main(["vertices", "--m", "6", "--format", "json"]) == 0
+    assert digest(capsys.readouterr().out) == "689d1632efe0b52f5c24986e5443c26c4234ebb947439bec5dd10b540cf26bd8"
 
 
 def test_output_file_is_pinned(capsys, tmp_path):

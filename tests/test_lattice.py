@@ -1,16 +1,15 @@
 """The flats of the equal-sum arrangement that meet the open orthant, and the
 multiplicities read off them, checked against the orientation census
-(tests/census.py), the line walk, the subdivision vertices and brute force
-over gap vectors."""
+(tests/census.py), the line walk and brute force over gap vectors, and
+the face fact the subdivision vertices are read off by."""
 
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 import pytest
 
 from golomb import golomb_graph, lattice as lattice_module
-from golomb.arrangement import golomb_hyperplanes, iop_vertices
+from golomb.arrangement import golomb_hyperplanes
 from golomb.cli import main
 from golomb.errors import BudgetExceededError
 from golomb.lattice import _level_counter, multiplicity, orthant_lattice, weighted_counts
@@ -45,26 +44,20 @@ def test_flats_per_rank_and_mobius_signs():
         assert all((-1) ** f.rank * f.mu > 0 for f in flats)
 
 
-def lattice_rays(m):
-    """The rank m-1 flats of orthant_lattice(m), as points of the simplex."""
-    rays = set()
-    for f in orthant_lattice(m).flats:
-        if f.rank == m - 1:
-            (b,) = f.basis
-            rays.add(tuple(Fraction(x, sum(b)) for x in b))
-    return rays
-
-
-@pytest.mark.parametrize("m", [2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
 def test_rays_are_the_interior_vertices(m):
-    rays = {k: lattice_rays(k) for k in range(1, m + 1)}
-    vertices = iop_vertices(m)
-    assert rays[m] == {v for v in vertices if min(v) > 0}
-    # on the face of a support K the equal-sum family is the |K| family,
-    # so every vertex is a ray of the lattice of its support placed on K
-    for v in vertices:
-        on_support = tuple(x for x in v if x)
-        assert on_support in rays[len(on_support)]
+    # the face fact iop_vertices rests on, checked on the normals alone: on
+    # the face of a support T with k coordinates, the normals that take
+    # both signs on T restrict to exactly the normals of the k family, and
+    # every other normal keeps one sign on T or vanishes on it, so cuts no
+    # point positive on T; the vertices with support T are then the rays of
+    # the k lattice, and those with full support the rays of the m lattice
+    normals = golomb_hyperplanes(m)
+    for k in range(1, m + 1):
+        family = set(golomb_hyperplanes(k))
+        for support in combinations(range(m), k):
+            restricted = {tuple(h[j] for j in support) for h in normals}
+            assert {r for r in restricted if 1 in r and -1 in r} == family, (m, support)
 
 
 def det(rows) -> int:
@@ -171,6 +164,23 @@ def test_lattice_budget_boundary():
     assert orthant_lattice(4, budget=431) == orthant_lattice(4)
     with pytest.raises(BudgetExceededError, match="budget of 430 nodes exceeded in intersection lattice"):
         orthant_lattice(4, budget=430)
+
+
+def test_only_joins_without_a_positive_point_run_the_lp(monkeypatch):
+    # at m = 4 the points carried over and crossed decide every join that
+    # meets the orthant; the 29 LPs left all prove 2-dimensional joins empty
+    verdicts = []
+    original = lattice_module.strict_cone_feasibility
+
+    def recorded(rows):
+        result = original(rows)
+        verdicts.append((len(rows[0]), result.feasible))
+        return result
+
+    monkeypatch.setattr(lattice_module, "strict_cone_feasibility", recorded)
+    monkeypatch.setattr(lattice_module, "_LATTICES", {})
+    assert len(orthant_lattice(4).flats) == 80
+    assert verdicts == [(2, False)] * 29
 
 
 def test_lattice_stops_at_the_first_join_over_budget(monkeypatch):
