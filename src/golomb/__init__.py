@@ -14,7 +14,7 @@ from golomb.errors import (
     LeadingCoefficientError,
 )
 from golomb.golomb_graph import build_golomb_graph, enumerate_constrained_orientations
-from golomb.lattice import iop_vertices, multiplicity, period_bound
+from golomb.lattice import cell_count, iop_vertices, multiplicity, period_bound
 from golomb.mixed_graphs import (
     MixedGraph,
     chromatic_number,
@@ -42,6 +42,7 @@ __all__ = [
     "MixedGraph",
     "Quasipolynomial",
     "build_golomb_graph",
+    "cell_count",
     "chromatic_number",
     "chromatic_polynomial",
     "count_proper_colorings",

@@ -159,16 +159,22 @@ def _regions_arguments(p):
 
 
 def _cmd_regions(args):
-    orders = golomb_graph.enumerate_constrained_orientations(args.m, budget=args.budget)
-    payload = {"m": args.m, "count": len(orders)}
-    if args.list:
+    # the count alone is read off the lattice; only --list runs the census
+    if not args.list:
+        payload = {"m": args.m, "count": lattice.cell_count(args.m, budget=args.budget)}
+    else:
+        orders = golomb_graph.enumerate_constrained_orientations(args.m, budget=args.budget)
         # each interval is labelled once, not once per order
         intervals = golomb_graph.consecutive_subsets(args.m)
         label = dict(zip(intervals, map(golomb_graph.interval_label, intervals)))
-        payload["orientations"] = [[label[iv] for iv in order] for order in orders]
+        payload = {
+            "m": args.m,
+            "count": len(orders),
+            "orientations": [[label[iv] for iv in order] for order in orders],
+        }
     table = None
     if args.format == "text":
-        table = [f"m = {args.m}", f"count = {len(orders)}"]
+        table = [f"m = {args.m}", f"count = {payload['count']}"]
         if args.list:
             table += [" < ".join(labels) for labels in payload["orientations"]]
     return EXIT_OK, payload, table

@@ -20,9 +20,22 @@ parent, whose hyperplanes hold every column already. A hyperplane
 already in an earlier child's closure gives that child again and is
 skipped; every other join is a search node counted against the budget.
 
+Gap reversal sigma(z) = (z_m, ..., z_1) maps the family to itself: the
+normal of hyperplane pi(k) is -h_k reversed, and pi is an involution. So
+sigma maps flats to flats, with the mask permuted by pi, and keeps the
+orthant, mu and every point count. Only one flat of each orbit
+{u, sigma u} is expanded by joins; when a join reaches a new flat, its
+mirror is derived with no join: its basis with the coordinates reversed,
+and a reversed positive point, checked in integers on the mirrored mask.
+A join that misses the orthant marks its mirror missed, and a cover
+u -> v of the expanded flat gives sigma u -> sigma v. Within a rank,
+flats come in the order they were first reached, each followed by its
+mirror unless sigma fixes it; the first of a pair is the one expanded.
+
 A new flat needs an exact verdict: does it meet the open orthant? Each
-flat of the rank being joined keeps up to m positive integer points on
-it; R^m keeps 1 + m e_i, which put every normal 1_U - 1_V on both sides.
+expanded flat of the rank being joined keeps up to m positive integer
+points on it; R^m keeps 1 + m e_i, which put every normal 1_U - 1_V on
+both sides.
 A point of the parent on h carries over, and points p, q on opposite
 sides of h give (h.p) q - (h.q) p, positive and on h. A one-column join
 meets the orthant when its column has one strict sign; any other join
@@ -30,11 +43,12 @@ with no point runs the LP (simplex.strict_cone_feasibility).
 
 Zaslavsky's theorem for an arrangement restricted to an open convex set
 counts the cells of the orthant as the sum of |mu(0̂, u)| over these flats
-(1, 2, 10, 114, 2608 for m = 1..5), and the multiplicity of a non-negative
-gap vector z as that sum over the flats through z, which `multiplicity`
-reads off the lattice; weighted_counts sums it over the gap vectors of
-total t as sum over u of |mu(0̂, u)| * N_u(t), where N_u(t) counts the
-non-negative integer points of u with coordinate sum t. The
+(1, 2, 10, 114, 2608 for m = 1..5; cell_count sums it one orbit at a
+time), and the multiplicity of a non-negative gap vector z as that sum
+over the flats through z, which `multiplicity` reads off the lattice;
+weighted_counts sums it over the gap vectors of total t as sum over u of
+|mu(0̂, u)| * N_u(t), where N_u(t) counts the non-negative integer points
+of u with coordinate sum t, again one term per orbit. The
 quasipolynomial module explains why, and checks reciprocity with it.
 
 The vertices of the simplex {z >= 0, sum z = 1} subdivided by the family
@@ -106,7 +120,13 @@ class Flat:
 class Lattice:
     hyperplanes: tuple[Vector, ...]  # golomb_hyperplanes(m), which the masks index
     flats: tuple[Flat, ...]          # 0̂ first, then by rank
+    mirrors: tuple[int, ...]         # the index of each flat's mirror
     nodes: int                       # the joins the build spent
+
+    def orbits(self) -> list[tuple[Flat, int]]:
+        """One flat of each gap-reversal orbit, the first in the lattice's
+        order, with the orbit's size: 1 for a flat its own mirror, else 2."""
+        return [(f, 1 + (j != i)) for i, (f, j) in enumerate(zip(self.flats, self.mirrors)) if i <= j]
 
 
 # m -> its lattice; the only cache in this module
@@ -116,8 +136,9 @@ _LATTICES: dict[int, Lattice] = {}
 def orthant_lattice(m: int, *, budget: int = DEFAULT_NODE_BUDGET) -> Lattice:
     """The flats of the equal-sum arrangement in R^m that meet the open
     orthant, with their Möbius values: R^m first, then rank by rank, each
-    rank in the order its flats were first reached. The budget caps the
-    joins, and the first one above it raises; m above DEFAULT_M_BOUND is
+    rank in the order its flats were first reached, a flat's mirror right
+    after it. The budget caps the joins, one flat of each gap-reversal orbit
+    joined, and the first one above it raises; m above DEFAULT_M_BOUND is
     refused before any work. The lattice is built once per m and kept; a
     later call whose budget is below the joins that build spent raises as a
     fresh build would."""
@@ -133,15 +154,35 @@ def orthant_lattice(m: int, *, budget: int = DEFAULT_NODE_BUDGET) -> Lattice:
     return lattice
 
 
+def _reversal(hypers) -> list[int]:
+    """pi with h_pi(k) = -reverse(h_k) for every hyperplane k: gap reversal
+    maps the family to itself, and pi is an involution. The sign is always
+    -1, since a normal 1_U - 1_V has U left of V, so reversed its first
+    nonzero entry is -1."""
+    where = {h: k for k, h in enumerate(hypers)}
+    return [where[tuple(-x for x in reversed(h))] for h in hypers]
+
+
 def _build(m: int, limit: int) -> Lattice:
     hypers = golomb_hyperplanes(m)
+    pi = _reversal(hypers)
+
+    def flip(mask: int) -> int:
+        """The mask of the mirror of the flat with this mask."""
+        out = 0
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            out |= 1 << pi[low.bit_length() - 1]
+        return out
+
     # each basis column: its m coordinates, then its products with the
     # hyperplanes
     masks = [0]
     bases = [tuple((*(int(i == j) for j in range(m)), *(h[i] for h in hypers)) for i in range(m))]
+    mirrors = [0]  # the index of each flat's mirror
     covers: list[list[int]] = [[]]  # the flats each flat covers, by index
-    full = (1 << len(hypers)) - 1
-    # positive integer points on the flats of the current rank, by index
+    # positive integer points on the expanded flats of the current rank
     points = {0: [tuple(1 + m * (i == j) for j in range(m)) for i in range(m)]}
     level = [0]
     nodes = 0
@@ -152,8 +193,9 @@ def _build(m: int, limit: int) -> Lattice:
         reached = {}
         for i in level:
             basis = bases[i]
-            if len(basis) == 1:
-                continue  # a ray: its only join is the origin, off the orthant
+            twin = mirrors[i]
+            if len(basis) == 1 or twin < i:
+                continue  # a ray, whose only join is the origin, or a mirror
             seen = masks[i]
             # every column of a child has product 0 with the hyperplanes
             # holding the parent, so only the others are read
@@ -165,28 +207,52 @@ def _build(m: int, limit: int) -> Lattice:
                 if nodes > limit:
                     raise BudgetExceededError(limit, f"intersection lattice of the m={m} hyperplanes")
                 _, child = _split(basis, itemgetter(m + k))
-                nonzero = 0
-                for c in child:
-                    for j in outside:
-                        if c[m + j]:
-                            nonzero |= 1 << j
-                mask = full ^ nonzero
+                # the join's hyperplanes: the parent's, and those outside it
+                # on which every column vanishes (the first column rules out
+                # most)
+                mask = masks[i]
+                first, rest = child[0], child[1:]
+                for j in outside:
+                    if not first[m + j]:
+                        for c in rest:
+                            if c[m + j]:
+                                break
+                        else:
+                            mask |= 1 << j
                 seen |= mask
                 j = index.get(mask)
                 if j is None:
                     if mask in missed:
                         continue
                     found = _positive_points(points[i], hypers[k], child, m)
+                    mirrored = flip(mask)
                     if not found:
-                        missed.add(mask)
+                        missed.update((mask, mirrored))
                         continue
-                    j = index[mask] = len(masks)
-                    masks.append(mask)
-                    bases.append(tuple(child))
-                    covers.append([])
-                    nxt.append(j)
+                    j = len(masks)
                     reached[j] = found
+                    new = [(mask, tuple(child))]
+                    if mirrored != mask:
+                        # the mirror, derived without a join: its basis
+                        # columns reversed (it is never joined, so they need
+                        # no products), and its reversed point, checked in
+                        # integers, certifies that it meets the orthant
+                        point = found[0][::-1]
+                        off = (mirrored >> q & 1 and sum(map(mul, h, point)) for q, h in enumerate(hypers))
+                        if min(point) <= 0 or any(off):
+                            raise AssertionError("a reversed point is off its mirrored flat")
+                        new.append((mirrored, tuple(c[m - 1::-1] for c in child)))
+                    for key, columns in new:
+                        index[key] = len(masks)
+                        nxt.append(len(masks))
+                        masks.append(key)
+                        bases.append(columns)
+                        covers.append([])
+                    # the two flats of a pair point at each other
+                    mirrors += reversed(range(j, len(masks)))
                 covers[j].append(i)
+                if twin != i:
+                    covers[mirrors[j]].append(twin)
         level, points = nxt, reached
     # mu(0̂, u) = -(sum of mu over the flats strictly below u), found as a
     # bitset of flat indices through the cover links
@@ -206,6 +272,7 @@ def _build(m: int, limit: int) -> Lattice:
     return Lattice(
         hypers,
         tuple(Flat(mask, tuple(c[:m] for c in basis), mu) for mask, basis, mu in zip(masks, bases, mu)),
+        tuple(mirrors),
         nodes,
     )
 
@@ -295,8 +362,11 @@ def _level_counter(basis, charge):
 def weighted_counts(lattice: Lattice, levels, limit: int) -> dict[int, int]:
     """sum over the flats u of |mu(0̂, u)| * N_u(t) for each t in levels:
     the multiplicities of the non-negative gap vectors of total t, summed.
-    Each flat costs one node per level, and each value a walk gives a free
-    coordinate one more; the first total above limit raises."""
+    Gap reversal permutes coordinates, so a flat and its mirror have the
+    same mu and the same N_u: the sum runs over one flat per orbit, weighted
+    by the orbit's size. Each orbit costs one node per level, and each value
+    a walk gives a free coordinate one more; the first total above limit
+    raises."""
     nodes = 0
 
     def charge(n: int) -> None:
@@ -305,12 +375,20 @@ def weighted_counts(lattice: Lattice, levels, limit: int) -> dict[int, int]:
         if nodes > limit:
             raise BudgetExceededError(limit, "golomb reciprocity sum")
 
-    terms = [(abs(f.mu), _level_counter(f.basis, charge)) for f in lattice.flats]
+    terms = [(abs(f.mu) * size, _level_counter(f.basis, charge)) for f, size in lattice.orbits()]
     sums = {}
     for t in levels:
         charge(len(terms))
         sums[t] = sum(weight * count(t) for weight, count in terms)
     return sums
+
+
+def cell_count(m: int, *, budget: int = DEFAULT_NODE_BUDGET) -> int:
+    """Number of cells the equal-sum hyperplanes cut the open orthant of R^m
+    into (Zaslavsky): the sum of |mu(0̂, u)| over orthant_lattice(m), one
+    term per gap-reversal orbit. The budget and the bound on m are
+    orthant_lattice's."""
+    return sum(abs(f.mu) * size for f, size in orthant_lattice(m, budget=budget).orbits())
 
 
 def multiplicity(z, *, budget: int = DEFAULT_NODE_BUDGET) -> int:

@@ -195,12 +195,12 @@ def reciprocity_check_golomb(
     non-negative integer points of u of sum t: mult(z) is sum |mu(0̂, u)|
     over those flats through z (see the module docstring). Negative t is
     refused before any work. The budget caps, each on its own, the joins of
-    each lattice build, the ruler search and the sum (one node per flat and
-    distinct level, plus one per value a flat's walk visits; see
-    lattice.weighted_counts). The ruler search's node floor at the least
-    possible period comes first, then the lattices of k <= m behind the
-    period bound, the node floor for the sample range and the sum, and
-    only then the ruler search and the interpolation."""
+    each lattice build, the ruler search and the sum (one node per
+    gap-reversal orbit of flats and distinct level, plus one per value a
+    flat's walk visits; see lattice.weighted_counts). The ruler search's
+    node floor at the least possible period comes first, then the lattices
+    of k <= m behind the period bound, the node floor for the sample range
+    and the sum, and only then the ruler search and the interpolation."""
     t_values = list(t_values)
     if any(t < 0 for t in t_values):
         raise ValueError("t values must be >= 0")

@@ -9,16 +9,21 @@ operations for degree d.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 Poly = tuple[Fraction, ...]
 
 
-def poly_eval(coeffs: Sequence[Fraction], t) -> Fraction:
-    acc = Fraction(0)
+def poly_eval(coeffs: Sequence[Fraction], t: int) -> Fraction:
+    """The polynomial at the integer t: Horner's rule in integers on the
+    coefficients scaled by the lcm d of their denominators, then one
+    Fraction, the sum over d."""
+    d = lcm(*(c.denominator for c in coeffs))
+    acc = 0
     for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
+        acc = acc * t + c.numerator * (d // c.denominator)
+    return Fraction(acc, d)
 
 
 def poly_degree(p: Sequence[Fraction]) -> int:

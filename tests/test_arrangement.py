@@ -131,16 +131,16 @@ def test_m5_vertices_match_the_fraction_oracle():
 
 
 def test_vertex_budget_counts_lattice_joins(monkeypatch):
-    # the lattices of m = 1..4 spend 0, 1, 19 and 431 joins; a fresh cache
+    # the lattices of m = 1..4 spend 0, 1, 13 and 246 joins; a fresh cache
     # for each call, so a build and not a cached lattice meets the budget
     for call in (iop_vertices, period_bound):
         monkeypatch.setattr(lattice, "_LATTICES", {})
         with pytest.raises(BudgetExceededError, match="intersection lattice of the m=4 hyperplanes"):
-            call(4, budget=430)
+            call(4, budget=245)
     monkeypatch.setattr(lattice, "_LATTICES", {})
-    assert len(iop_vertices(4, budget=431)) == 42
+    assert len(iop_vertices(4, budget=246)) == 42
     monkeypatch.setattr(lattice, "_LATTICES", {})
-    assert period_bound(4, budget=431) == 840
+    assert period_bound(4, budget=246) == 840
 
 
 def test_vertex_budget_defaults_to_the_node_budget(monkeypatch):

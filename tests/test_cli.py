@@ -109,6 +109,42 @@ def test_regions_counts(capsys):
     assert json.loads(out)["count"] == 2
 
 
+def test_regions_count_is_read_off_the_lattice(capsys, monkeypatch):
+    # the count alone builds the lattice and never runs the census; --list
+    # runs the census and builds no lattice
+    def no_census(*args, **kwargs):
+        raise AssertionError("the count ran the orientation census")
+
+    calls = record_lattice_builds(monkeypatch)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.golomb_graph, "_enumerate_orders", no_census)
+        assert run_cli(capsys, "regions", "--m", "5") == (0, "m = 5\ncount = 2608\n", "")
+    assert calls == [5]
+    code, out, _ = run_cli(capsys, "regions", "--m", "4", "--list", "--format", "json")
+    assert code == 0 and json.loads(out)["count"] == len(json.loads(out)["orientations"]) == 114
+    assert calls == [5]
+
+
+def test_regions_count_budget_caps_the_lattice_joins(capsys, monkeypatch):
+    # m = 4 spends 246 joins; the census behind --list is not charged for them
+    monkeypatch.setattr(lattice, "_LATTICES", {})
+    assert run_cli(capsys, "regions", "--m", "4", "--budget", "245") == (
+        2, "", "error: search budget of 245 nodes exceeded in intersection lattice of the m=4 hyperplanes\n"
+    )
+    assert run_cli(capsys, "regions", "--m", "4", "--budget", "246") == (0, "m = 4\ncount = 114\n", "")
+    code, out, err = run_cli(capsys, "regions", "--m", "4", "--list", "--budget", "245")
+    assert (code, out) == (2, "") and "admissible orientation search" in err
+
+
+@pytest.mark.slow
+def test_m6_regions_count_both_ways(capsys):
+    # the count off the lattice, and the census listing every cell
+    assert run_cli(capsys, "regions", "--m", "6") == (0, "m = 6\ncount = 107498\n", "")
+    code, out, _ = run_cli(capsys, "regions", "--m", "6", "--list", "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["count"] == len(payload["orientations"]) == 107498
+
+
 def test_reciprocity_golomb(capsys):
     code, out, _ = run_cli(
         capsys, "reciprocity", "golomb", "--m", "3", "--t", "0", "--format", "json"
@@ -285,6 +321,8 @@ def no_work(monkeypatch):
     monkeypatch.setattr(cli, "_load_graph", never)
     monkeypatch.setattr(cli, "golomb_counts", never)
     monkeypatch.setattr(cli.golomb_graph, "enumerate_constrained_orientations", never)
+    monkeypatch.setattr(lattice, "_build", never)
+    monkeypatch.setattr(lattice, "_LATTICES", {})
 
 
 def first_word(argv):
@@ -432,15 +470,15 @@ def test_exit_code_budget(capsys):
 
 def test_vertex_budget_fails_before_any_work(capsys, monkeypatch):
     # m = 7 is above the enumeration bound, like `regions --m 7`, and is
-    # refused before any lattice is built; m = 4 spends 431 lattice joins
+    # refused before any lattice is built; m = 4 spends 246 lattice joins
     calls = record_lattice_builds(monkeypatch)
     code, out, err = run_cli(capsys, "vertices", "--m", "7")
     assert (code, out) == (1, "") and "m=7 is above the enumeration bound 6" in err
     assert calls == []
-    code, out, err = run_cli(capsys, "vertices", "--m", "4", "--budget", "430")
-    assert (code, out) == (2, "") and "budget of 430 nodes exceeded in intersection lattice of the m=4" in err
+    code, out, err = run_cli(capsys, "vertices", "--m", "4", "--budget", "245")
+    assert (code, out) == (2, "") and "budget of 245 nodes exceeded in intersection lattice of the m=4" in err
     monkeypatch.setattr(lattice, "_LATTICES", {})
-    code, out, _ = run_cli(capsys, "vertices", "--m", "4", "--budget", "431", "--format", "json")
+    code, out, _ = run_cli(capsys, "vertices", "--m", "4", "--budget", "246", "--format", "json")
     assert code == 0 and len(json.loads(out)["vertices"]) == 42
     assert calls == [4, 4, 3, 2, 1]
 

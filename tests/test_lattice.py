@@ -12,13 +12,19 @@ from golomb import golomb_graph, lattice as lattice_module
 from golomb.arrangement import golomb_hyperplanes
 from golomb.cli import main
 from golomb.errors import BudgetExceededError
-from golomb.lattice import _level_counter, multiplicity, orthant_lattice, weighted_counts
+from golomb.lattice import _level_counter, _reversal, multiplicity, orthant_lattice, weighted_counts
 from golomb.quasipolynomial import reciprocity_check_golomb
 
 from census import census_multiplicities
 from compositions import compositions, line_forms, weighted_level
+from full_lattice import full_lattice
 
 CELLS = {1: 1, 2: 2, 3: 10, 4: 114, 5: 2608}
+# joins of the full build and of the orbit build, and the flats gap
+# reversal fixes
+FULL_JOINS = {1: 0, 2: 1, 3: 19, 4: 431, 5: 13320}
+ORBIT_JOINS = {1: 0, 2: 1, 3: 13, 4: 246, 5: 6817}
+FIXED = {1: 1, 2: 2, 3: 3, 4: 10, 5: 25, 6: 141}
 
 
 def on_mask(m, z) -> int:
@@ -42,6 +48,38 @@ def test_flats_per_rank_and_mobius_signs():
         assert len({f.mask for f in flats}) == len(flats)
         # mu(0̂, u) alternates in sign with the rank in a geometric lattice
         assert all((-1) ** f.rank * f.mu > 0 for f in flats)
+
+
+@pytest.mark.parametrize("m", sorted(FULL_JOINS))
+def test_orbit_build_matches_the_full_build(m):
+    full, joins = full_lattice(m)
+    lattice = orthant_lattice(m)
+    assert {f.mask: f.mu for f in lattice.flats} == full and len(lattice.flats) == len(full)
+    assert (joins, lattice.nodes) == (FULL_JOINS[m], ORBIT_JOINS[m])
+
+
+def assert_gap_reversal_pairs_the_flats(m):
+    hypers = golomb_hyperplanes(m)
+    pi = _reversal(hypers)
+    assert [pi[p] for p in pi] == list(range(len(hypers)))
+    assert all(hypers[pi[k]] == tuple(-x for x in h[::-1]) for k, h in enumerate(hypers))
+    lattice = orthant_lattice(m)
+    mirrors = lattice.mirrors
+    assert [mirrors[j] for j in mirrors] == list(range(len(mirrors)))
+    assert sum(i == j for i, j in enumerate(mirrors)) == FIXED[m]
+    for i, (f, j) in enumerate(zip(lattice.flats, mirrors)):
+        g = lattice.flats[j]
+        assert g.mask == sum(1 << pi[k] for k in range(len(hypers)) if f.mask >> k & 1)
+        assert g.mu == f.mu
+        if i != j:
+            # a new flat is followed by its mirror, whose basis is its own
+            # with the coordinates reversed
+            assert abs(i - j) == 1 and g.basis == tuple(c[::-1] for c in f.basis)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_gap_reversal_pairs_the_flats(m):
+    assert_gap_reversal_pairs_the_flats(m)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
@@ -136,39 +174,39 @@ def test_multiplicity_never_runs_the_census(monkeypatch):
 
 
 def test_cached_lattice_honors_a_later_budget(monkeypatch):
-    # the m = 4 build spends 431 joins; a cached lattice answers every later
+    # the m = 4 build spends 246 joins; a cached lattice answers every later
     # budget as a fresh build would
     monkeypatch.setattr(lattice_module, "_LATTICES", {})
     for _ in ("fresh", "cached"):
-        with pytest.raises(BudgetExceededError, match="budget of 430 nodes exceeded in intersection lattice"):
-            multiplicity((1, 2, 3, 5), budget=430)
-        assert multiplicity((1, 2, 3, 5), budget=431) == 4
+        with pytest.raises(BudgetExceededError, match="budget of 245 nodes exceeded in intersection lattice"):
+            multiplicity((1, 2, 3, 5), budget=245)
+        assert multiplicity((1, 2, 3, 5), budget=246) == 4
     assert list(lattice_module._LATTICES) == [4]
 
 
 def test_reciprocity_sum_charges_every_walked_value():
-    # m = 4, t = 0..9: 800 nodes for the 80 flats at ten levels, and 685
-    # for the values the 15 flats of dimension 3 walk on their first free
-    # coordinate
+    # m = 4, t = 0..9: 450 nodes for the 45 orbits of the 80 flats at ten
+    # levels, and 385 for the values the 9 orbits of the 15 flats of
+    # dimension 3 walk on their first free coordinate
     lattice = orthant_lattice(4)
-    expected = weighted_counts(lattice, range(10), 1485)
+    expected = weighted_counts(lattice, range(10), 835)
     with pytest.raises(BudgetExceededError, match="golomb reciprocity sum"):
-        weighted_counts(lattice, range(10), 1484)
+        weighted_counts(lattice, range(10), 834)
     lookup = census_multiplicities(4)
     assert expected == {t: sum(lookup(z) for z in compositions(t, 4)) for t in range(10)}
 
 
 def test_lattice_budget_boundary():
-    assert (len(orthant_lattice(5).flats), orthant_lattice(5).nodes) == (1305, 13320)
-    assert orthant_lattice(4).nodes == 431
-    assert orthant_lattice(4, budget=431) == orthant_lattice(4)
-    with pytest.raises(BudgetExceededError, match="budget of 430 nodes exceeded in intersection lattice"):
-        orthant_lattice(4, budget=430)
+    assert (len(orthant_lattice(5).flats), orthant_lattice(5).nodes) == (1305, 6817)
+    assert orthant_lattice(4).nodes == 246
+    assert orthant_lattice(4, budget=246) == orthant_lattice(4)
+    with pytest.raises(BudgetExceededError, match="budget of 245 nodes exceeded in intersection lattice"):
+        orthant_lattice(4, budget=245)
 
 
 def test_only_joins_without_a_positive_point_run_the_lp(monkeypatch):
     # at m = 4 the points carried over and crossed decide every join that
-    # meets the orthant; the 29 LPs left all prove 2-dimensional joins empty
+    # meets the orthant; the 16 LPs left all prove 2-dimensional joins empty
     verdicts = []
     original = lattice_module.strict_cone_feasibility
 
@@ -180,7 +218,7 @@ def test_only_joins_without_a_positive_point_run_the_lp(monkeypatch):
     monkeypatch.setattr(lattice_module, "strict_cone_feasibility", recorded)
     monkeypatch.setattr(lattice_module, "_LATTICES", {})
     assert len(orthant_lattice(4).flats) == 80
-    assert verdicts == [(2, False)] * 29
+    assert verdicts == [(2, False)] * 16
 
 
 def test_lattice_stops_at_the_first_join_over_budget(monkeypatch):
@@ -231,5 +269,13 @@ def test_reciprocity_needs_no_census(monkeypatch, capsys):
 def test_m6_cells_by_the_lattice():
     # the m = 6 cell count through neither the census search nor its simplex
     lattice = orthant_lattice(6)
-    assert (len(lattice.flats), lattice.nodes) == (36519, 633589)
+    assert (len(lattice.flats), lattice.nodes) == (36519, 318436)
     assert sum(abs(f.mu) for f in lattice.flats) == 107498
+
+
+@pytest.mark.slow
+def test_m6_orbit_build_matches_the_full_build():
+    full, joins = full_lattice(6)
+    assert joins == 633589
+    assert {f.mask: f.mu for f in orthant_lattice(6).flats} == full
+    assert_gap_reversal_pairs_the_flats(6)

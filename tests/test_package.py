@@ -22,6 +22,7 @@ PUBLIC = [
     "MixedGraph",
     "Quasipolynomial",
     "build_golomb_graph",
+    "cell_count",
     "chromatic_number",
     "chromatic_polynomial",
     "count_proper_colorings",
@@ -108,6 +109,7 @@ SEARCHES = [
     (golomb.reciprocity_check_golomb, (2, [0])),
     (golomb.enumerate_constrained_orientations, (3,)),
     (orthant_lattice, (3,)),
+    (golomb.cell_count, (3,)),
     (golomb.multiplicity, ((1, 2),)),
     (golomb.count_proper_colorings, (TRIANGLE, 2)),
     (golomb.chromatic_polynomial, (TRIANGLE,)),

@@ -256,20 +256,21 @@ def test_pinned_multiplicity_sums():
 def test_reciprocity_budget_is_checked_before_the_sum(monkeypatch, capsys):
     from golomb.cli import main
 
-    # m = 2 has two flats, both closed form: two nodes per level, 200 for
-    # t = 0..99; its lattice build and ruler search fit too
+    # m = 2 has two flats, both closed form and each its own mirror: two
+    # nodes per level, 200 for t = 0..99; its lattice build and ruler search
+    # fit too
     assert reciprocity_check_golomb(2, range(100), budget=200).ok
     with pytest.raises(BudgetExceededError, match="golomb reciprocity sum"):
         reciprocity_check_golomb(2, range(100), budget=199)
-    # m = 3 has nine flats, none walked: 900 nodes for t = 0..99 and 3600
-    # for t = 0..399, against the 3525 of its ruler search, whose floor of
-    # 2112 is checked before the sum
+    # m = 3 has nine flats in six gap-reversal orbits, none walked: 600
+    # nodes for t = 0..99 and 3600 for t = 0..599, against the 3525 of its
+    # ruler search, whose floor of 2112 is checked before the sum
     argv = ["reciprocity", "golomb", "--m", "3", "--t-min", "0", "--t-max", "99", "--budget"]
     assert main([*argv, "4000"]) == 0
     assert "t=99: lhs=5202 rhs=5202 ok" in capsys.readouterr().out
-    argv[7] = "399"
+    argv[7] = "599"
     assert main([*argv, "3600"]) == 0
-    assert "t=399: lhs=80802 rhs=80802 ok" in capsys.readouterr().out
+    assert "t=599: lhs=181200 rhs=181200 ok" in capsys.readouterr().out
 
     # the quasipolynomial is interpolated only after the sum: a check that
     # fits the budget calls _interpolate_counts once, one over it never
@@ -278,7 +279,7 @@ def test_reciprocity_budget_is_checked_before_the_sum(monkeypatch, capsys):
     assert called == ["_interpolate_counts"]
     called.clear()
     with pytest.raises(BudgetExceededError, match="golomb reciprocity sum"):
-        reciprocity_check_golomb(3, range(400), budget=3599)
+        reciprocity_check_golomb(3, range(600), budget=3599)
     assert main([*argv, "3599"]) == 2
     assert capsys.readouterr().out == ""
     assert called == []

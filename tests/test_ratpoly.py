@@ -57,6 +57,20 @@ def test_newton_interpolation_matches_the_lagrange_basis(case):
     assert all(poly_eval(coeffs, x) == y for x, y in points)
 
 
+def fraction_horner(coeffs, t):
+    """The oracle: Horner's rule in Fractions, one Fraction per step."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
+@given(st.lists(st.fractions(max_denominator=10**4), max_size=12), st.integers(-10**4, 10**4))
+def test_integer_horner_matches_fraction_horner(coeffs, t):
+    value = poly_eval(coeffs, t)
+    assert type(value) is Fraction and value == fraction_horner(coeffs, t)
+
+
 def test_interpolation_recovers_a_known_polynomial():
     # t(t - 1)(t - 2)/6 through t = 3, 7, 8, 10
     points = [(t, t * (t - 1) * (t - 2) // 6) for t in (3, 7, 8, 10)]
